@@ -11,6 +11,7 @@
 #   scripts/check.sh soak-recovery       # 20-seed cascading-failure soak
 #   scripts/check.sh soak-split          # 20-seed topology-churn soak
 #   scripts/check.sh bench-smoke         # ~5 s bench_commit A/B smoke run
+#   scripts/check.sh tfrbench-smoke      # every tfrbench workload for 3 s, audited
 #   TFR_SANITIZE=address scripts/check.sh
 #   TFR_SANITIZE=thread  scripts/check.sh
 #   TFR_SANITIZE=address,undefined scripts/check.sh   # what `sanitize` runs
@@ -161,9 +162,17 @@ case "$MODE" in
     echo "bench-smoke OK (BENCH_commit.json, BENCH_read.json, BENCH_split.json written)"
     exit 0
     ;;
+  tfrbench-smoke)
+    # The benchmark's own smoke: builds tfrbench into build-bench, runs every
+    # BENCHMARK.json workload for 3 s untraced and traced, and fails unless
+    # each prints every declared metric and passes its durability audit.
+    python3 bench/tfrbench/run.py --smoke
+    echo "tfrbench-smoke OK"
+    exit 0
+    ;;
   test) ;;
   *)
-    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak-partition, soak-recovery, soak-split, bench-smoke, or no argument)" >&2
+    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak-partition, soak-recovery, soak-split, bench-smoke, tfrbench-smoke, or no argument)" >&2
     exit 2
     ;;
 esac

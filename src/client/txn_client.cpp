@@ -188,7 +188,7 @@ Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet w
   if (config_.sync_commit) {
     // Synchronous persistence: the write-set reaches (and is persisted by)
     // the servers before commit returns to the application.
-    TFR_RETURN_IF_ERROR(kv_.flush_writeset(to_flush, std::nullopt, false, &flush_cancel_));
+    TFR_RETURN_IF_ERROR(kv_.flush_writeset(to_flush, &flush_cancel_));
     tracker_.on_flushed(commit_ts);
     flushes_completed_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -213,7 +213,7 @@ void TxnClient::flusher_loop() {
       }
     }
     Status s = batch.size() == 1
-                   ? kv_.flush_writeset(batch.front(), std::nullopt, false, &flush_cancel_)
+                   ? kv_.flush_writeset(batch.front(), &flush_cancel_)
                    : kv_.flush_writesets(batch, &flush_cancel_);
     if (!s.is_ok()) {
       // Only cancellation (crash) can break the unlimited-retry loop.

@@ -64,8 +64,7 @@ void KvClient::invalidate_route(const std::string& table, const std::string& row
   invalidations.add();
 }
 
-Status KvClient::flush_writeset(const WriteSet& ws, std::optional<Timestamp> piggyback_tp,
-                                bool recovery_replay, const std::atomic<bool>* cancel) {
+Status KvClient::flush_writeset(const WriteSet& ws, const std::atomic<bool>* cancel) {
   if (ws.mutations.empty()) return Status::ok();
   if (ws.commit_ts == kNoTimestamp) {
     return Status::invalid_argument("write-set has no commit timestamp");
@@ -109,8 +108,6 @@ Status KvClient::flush_writeset(const WriteSet& ws, std::optional<Timestamp> pig
           req.commit_ts = ws.commit_ts;
           req.table = ws.table;
           req.mutations = muts;
-          req.piggyback_tp = piggyback_tp;
-          req.recovery_replay = recovery_replay;
           flush_rpcs_.fetch_add(1, std::memory_order_relaxed);
           s = stub->apply_writeset(req);
         }
@@ -147,7 +144,8 @@ Status KvClient::flush_writeset(const WriteSet& ws, std::optional<Timestamp> pig
 }
 
 Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
-                                 const std::atomic<bool>* cancel) {
+                                 const std::atomic<bool>* cancel,
+                                 std::optional<Timestamp> piggyback_tp, bool recovery_replay) {
   for (const WriteSet& ws : batch) {
     if (!ws.mutations.empty() && ws.commit_ts == kNoTimestamp) {
       return Status::invalid_argument("write-set has no commit timestamp");
@@ -202,6 +200,8 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
           slice.commit_ts = batch[ws_index].commit_ts;
           slice.table = batch[ws_index].table;
           slice.mutations = muts;
+          slice.piggyback_tp = piggyback_tp;
+          slice.recovery_replay = recovery_replay;
           req.slices.push_back(std::move(slice));
           slice_ws.push_back(ws_index);
         }

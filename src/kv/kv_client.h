@@ -52,24 +52,25 @@ class KvClient {
   /// when every participant has received and applied its slice, or with
   /// InvalidArgument for malformed input.
   ///
-  /// `piggyback_tp` / `recovery_replay` are used by the recovery client
-  /// (§3.2) and left unset by regular clients.
   /// `cancel`, when non-null and set, aborts the retry loop with Closed —
   /// used to simulate a client process dying mid-flush.
-  Status flush_writeset(const WriteSet& ws, std::optional<Timestamp> piggyback_tp = std::nullopt,
-                        bool recovery_replay = false,
-                        const std::atomic<bool>* cancel = nullptr);
+  Status flush_writeset(const WriteSet& ws, const std::atomic<bool>* cancel = nullptr);
 
-  /// Flush several committed write-sets together (the pipelined flush
-  /// path): all slices bound for the same server travel in ONE
-  /// BatchApplyRequest RPC per retry round, instead of one RPC per
-  /// write-set per server. Same termination contract as flush_writeset —
-  /// retries indefinitely, returns Ok only when EVERY write-set is fully
+  /// Flush several committed write-sets together (the pipelined flush path,
+  /// and every recovery replay): all slices bound for the same server
+  /// travel in ONE BatchApplyRequest RPC per retry round, instead of one RPC
+  /// per write-set per server. Same termination contract as flush_writeset
+  /// — retries indefinitely, returns Ok only when EVERY write-set is fully
   /// applied, Closed on cancel. Per-slice Unavailable/WrongEpoch outcomes
   /// only re-queue that write-set's slice, so one moving region does not
   /// stall the rest of the batch.
+  ///
+  /// `piggyback_tp` / `recovery_replay` are set on every slice by the
+  /// recovery client (§3.2) and left unset by regular clients.
   Status flush_writesets(const std::vector<WriteSet>& batch,
-                         const std::atomic<bool>* cancel = nullptr);
+                         const std::atomic<bool>* cancel = nullptr,
+                         std::optional<Timestamp> piggyback_tp = std::nullopt,
+                         bool recovery_replay = false);
 
   /// Snapshot read. Retries through failovers until the row's region is
   /// online again; `max_retries` = 0 means retry forever.

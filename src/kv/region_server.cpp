@@ -286,13 +286,13 @@ Status RegionServer::apply_writeset(const ApplyRequest& request) {
     return Status::unavailable("request frame rejected by " + id_ + ": " +
                                decoded.status().message());
   }
-  const ApplyRequest& req = decoded.value();
-
   if (!alive()) return Status::unavailable("server down: " + id_);
   SemaphoreGuard slot(handlers_);
   if (!alive()) return Status::unavailable("server down: " + id_);
 
-  Status applied = apply_decoded(req);
+  std::vector<ApplyRequest> frame;
+  frame.push_back(std::move(decoded).value());
+  Status applied = apply_frame(frame).front();
   if (!applied.is_ok()) return applied;
 
   if (drop_response) {
@@ -343,11 +343,7 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
 
   batch_rpcs.add();
   batch_slices.add(static_cast<std::int64_t>(decoded.value().slices.size()));
-  std::vector<Status> statuses;
-  statuses.reserve(decoded.value().slices.size());
-  for (const ApplyRequest& req : decoded.value().slices) {
-    statuses.push_back(apply_decoded(req));
-  }
+  std::vector<Status> statuses = apply_frame(decoded.value().slices);
   if (drop_response) {
     // Everything above happened, but the per-slice acks never arrive.
     return Status::unavailable("injected fault: response from " + id_ + " dropped");
@@ -355,7 +351,7 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   return statuses;
 }
 
-Status RegionServer::apply_decoded(const ApplyRequest& req) {
+Status RegionServer::apply_slice(const ApplyRequest& req) {
   // Group the mutations by target region; fail fast (before any side effect)
   // if some row is not hosted here, so the client re-locates and retries with
   // the whole slice — reapplication is idempotent.
@@ -428,19 +424,44 @@ Status RegionServer::apply_decoded(const ApplyRequest& req) {
     // Synchronous persistence: the update is durable before we return.
     TFR_RETURN_IF_ERROR(wal_->sync());
   }
+  return Status::ok();
+}
+
+std::vector<Status> RegionServer::apply_frame(const std::vector<ApplyRequest>& slices) {
+  std::vector<Status> statuses;
+  statuses.reserve(slices.size());
+  for (const ApplyRequest& req : slices) statuses.push_back(apply_slice(req));
 
   if (!alive()) {
-    // Crashed mid-apply: the client must not count this as received.
-    return Status::unavailable("server crashed during apply: " + id_);
+    // Crashed under the frame: an append may have hit the WAL segment the
+    // crash closed (Closed), and whatever did land went with the un-synced
+    // tail. No slice counts as received; the client re-sends every one
+    // (reapplication is idempotent).
+    for (Status& s : statuses) s = Status::unavailable("server crashed during apply: " + id_);
+    return statuses;
   }
 
+  // Algorithm 3 "On receive", once per frame: every accepted slice is
+  // WAL-appended by now, so one inheritance of the lowest piggybacked TP(s)
+  // — and the one WAL sync its heartbeat runs — covers them all before any
+  // of them is acked.
+  std::vector<Timestamp> received;
+  std::optional<Timestamp> piggyback_tp;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    if (!statuses[i].is_ok()) continue;
+    received.push_back(slices[i].commit_ts);
+    if (slices[i].piggyback_tp && (!piggyback_tp || *slices[i].piggyback_tp < *piggyback_tp)) {
+      piggyback_tp = slices[i].piggyback_tp;
+    }
+  }
+  if (received.empty()) return statuses;
   WritesetObserver observer;
   {
     MutexLock lock(hooks_mutex_);
     observer = writeset_observer_;
   }
-  if (observer) observer(req.commit_ts, req.piggyback_tp);
-  return Status::ok();
+  if (observer) observer(received, piggyback_tp);
+  return statuses;
 }
 
 Result<std::optional<Cell>> RegionServer::get(const std::string& table, const std::string& row,

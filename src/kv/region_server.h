@@ -4,9 +4,9 @@
 // middleware (src/recovery) plugs into, keeping the store itself unaware of
 // transactions:
 //
-//   * set_writeset_observer  — invoked on every received write-set with its
-//     commit timestamp and the recovery client's piggybacked TP(s), feeding
-//     Algorithm 3's persist queue and the TP-inheritance rule;
+//   * set_writeset_observer  — invoked once per received apply frame with its
+//     write-sets' commit timestamps and the recovery client's piggybacked
+//     TP(s), feeding Algorithm 3's persist queue and the TP-inheritance rule;
 //   * set_pre_heartbeat_hook — invoked just before each heartbeat to the
 //     coordination service; the recovery layer persists received write-sets
 //     (WAL sync) and returns the TP(s) payload to piggyback (Algorithm 3);
@@ -146,11 +146,12 @@ class RegionServer {
   TFR_BLOCKING Status apply_writeset(const ApplyRequest& req);
 
   /// Receive a batch of write-set slices in one RPC: one network round-trip
-  /// and one handler slot for the whole frame, then each slice runs the
-  /// same WAL-append/apply/observe pipeline as apply_writeset. Returns one
-  /// Status per slice (same order); a transport-level error (partition,
-  /// injected loss, frame corruption, dropped ack) fails the whole batch as
-  /// Unavailable and the client re-sends — reapplication is idempotent.
+  /// and one handler slot for the whole frame, each slice WAL-appended and
+  /// applied as in apply_writeset, and one observer call for the frame
+  /// (see WritesetObserver). Returns one Status per slice (same order); a
+  /// transport-level error (partition, injected loss, frame corruption,
+  /// dropped ack) fails the whole batch as Unavailable and the client
+  /// re-sends — reapplication is idempotent.
   TFR_BLOCKING Result<std::vector<Status>> apply_batch(const BatchApplyRequest& batch);
 
   /// `caller` (when non-empty) is the requesting node's id, matched against
@@ -212,7 +213,11 @@ class RegionServer {
 
   // --- recovery extension points -------------------------------------------
 
-  using WritesetObserver = std::function<void(Timestamp commit_ts,
+  /// Called once per apply frame (one apply_writeset or apply_batch RPC),
+  /// after every slice of it is WAL-appended and before any is acked, with
+  /// the commit timestamps of the accepted slices and the lowest TP(s)
+  /// piggybacked on them. Not called for a frame with no accepted slice.
+  using WritesetObserver = std::function<void(const std::vector<Timestamp>& commit_ts,
                                               std::optional<Timestamp> piggyback_tp)>;
   using PreHeartbeatHook = std::function<Timestamp()>;
   using RegionGate = std::function<void(const std::string& region_name,
@@ -272,10 +277,14 @@ class RegionServer {
   }
 
  private:
-  /// The post-transport core of apply_writeset: WAL-append, apply to
-  /// memstores, observe. Caller has decoded the request, checked liveness,
-  /// and holds a handler slot.
-  Status apply_decoded(const ApplyRequest& req);
+  /// The post-transport core of apply_writeset and apply_batch: apply every
+  /// slice, then notify the write-set observer once for the whole frame.
+  /// Caller has decoded the frame, checked liveness, and holds a handler
+  /// slot. Returns one Status per slice; every slice is Unavailable if the
+  /// server died under the frame.
+  std::vector<Status> apply_frame(const std::vector<ApplyRequest>& slices);
+  /// One slice: WAL-append and apply to the memstores of its regions.
+  Status apply_slice(const ApplyRequest& req);
   void heartbeat_tick();
   /// Publish the per-server load report + per-region traffic gauges.
   void report_load();

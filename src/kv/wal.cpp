@@ -96,41 +96,74 @@ Result<std::uint64_t> Wal::append(WalRecord record) {
   return seq;
 }
 
-Status Wal::sync() {
-  TFR_BLOCKING_POINT("wal.sync");
-  RankedMutexLock sync_lock(sync_mutex_);
-  // Capture the frontier and the open segment before syncing: everything
-  // appended before this point is covered by the DFS sync below. The nested
-  // acquisition passes sync_lock's token, which static_asserts the
-  // kWal < kWalSync rank edge at compile time.
-  std::string open_path;
-  std::uint64_t frontier = 0;
-  {
-    RankedMutexLock lock(mutex_, sync_lock.token());
-    open_path = segments_.back().path;
-    frontier = next_seq_.load(std::memory_order_acquire) - 1;
+std::vector<std::string> Wal::unsynced_segments_locked() const {
+  const std::uint64_t synced = synced_seq_.load(std::memory_order_acquire);
+  std::vector<std::string> paths;
+  for (const Segment& seg : segments_) {
+    if (seg.first_seq != 0 && seg.last_seq > synced) paths.push_back(seg.path);
   }
-  if (frontier <= synced_seq_.load(std::memory_order_acquire)) return Status::ok();
-  // tfr-lint: blocking-ok(kWalSync exists precisely to serialize this durable
-  // write; holding it across dfs_->sync is the design, may_block=true)
-  auto synced = dfs_->sync(open_path);
-  if (!synced.is_ok()) return synced.status();
+  return paths;
+}
+
+Status Wal::sync_segments(const std::vector<std::string>& paths, std::uint64_t frontier) {
+  for (const std::string& path : paths) {
+    // tfr-lint: blocking-ok(kWalSync exists precisely to serialize this durable
+    // write; holding it across dfs_->sync is the design, may_block=true)
+    auto synced = dfs_->sync(path);
+    if (!synced.is_ok()) return synced.status();
+  }
   std::uint64_t prev = synced_seq_.load(std::memory_order_relaxed);
   while (prev < frontier &&
          !synced_seq_.compare_exchange_weak(prev, frontier, std::memory_order_release)) {
   }
-  sync_count_.fetch_add(1, std::memory_order_relaxed);
+  if (!paths.empty()) sync_count_.fetch_add(1, std::memory_order_relaxed);
   return Status::ok();
 }
 
+Status Wal::sync() {
+  TFR_BLOCKING_POINT("wal.sync");
+  RankedMutexLock sync_lock(sync_mutex_);
+  // Capture the frontier and the segments holding records above synced_seq_
+  // before syncing: everything appended before this point is covered by the
+  // DFS syncs below. Normally that is just the open segment; a closed one
+  // appears only if its roll could not sync it. The nested acquisition
+  // passes sync_lock's token, which static_asserts the kWal < kWalSync rank
+  // edge at compile time.
+  std::vector<std::string> paths;
+  std::uint64_t frontier = 0;
+  {
+    RankedMutexLock lock(mutex_, sync_lock.token());
+    paths = unsynced_segments_locked();
+    frontier = next_seq_.load(std::memory_order_acquire) - 1;
+  }
+  return sync_segments(paths, frontier);
+}
+
 Status Wal::roll() {
-  // Make the closing segment fully durable first.
-  TFR_RETURN_IF_ERROR(sync());
-  MutexLock lock(mutex_);
-  TFR_RETURN_IF_ERROR(dfs_->close(segments_.back().path));
-  TFR_RETURN_IF_ERROR(open_segment_locked());
-  ++rolls_;
-  TFR_LOG(DEBUG, "wal") << base_path_ << " rolled to segment " << segments_.back().path;
+  TFR_BLOCKING_POINT("wal.roll");
+  // Hold the sync lock across the swap: no sync() can run between the swap
+  // and the old segment's sync, so synced_seq_ never passes a record that
+  // is still un-synced in the closing segment. The swap itself happens
+  // under mutex_, so every append lands wholly before it (in the closing
+  // segment, at or below `frontier`) or after it (in the fresh one).
+  RankedMutexLock sync_lock(sync_mutex_);
+  std::vector<std::string> unsynced;
+  std::uint64_t frontier = 0;
+  std::string closing;
+  {
+    RankedMutexLock lock(mutex_, sync_lock.token());
+    unsynced = unsynced_segments_locked();
+    frontier = next_seq_.load(std::memory_order_acquire) - 1;
+    closing = segments_.back().path;
+    TFR_RETURN_IF_ERROR(open_segment_locked());
+    ++rolls_;
+  }
+  // Sync and close with mutex_ released: appends go on into the fresh
+  // segment meanwhile. If the sync fails, the closing segment keeps its
+  // records above synced_seq_, so the next sync() syncs it too.
+  TFR_RETURN_IF_ERROR(sync_segments(unsynced, frontier));
+  TFR_RETURN_IF_ERROR(dfs_->close(closing));
+  TFR_LOG(DEBUG, "wal") << base_path_ << " rolled " << closing;
   return Status::ok();
 }
 
@@ -171,9 +204,10 @@ std::uint64_t Wal::current_segment_bytes() const {
 
 void Wal::crash() {
   MutexLock lock(mutex_);
-  // Closed segments were synced by roll(); only the open one has a volatile
-  // tail.
-  dfs_->writer_crashed(segments_.back().path);
+  // Closed segments were normally synced by roll(), so only the open one
+  // has a volatile tail — unless a roll's sync failed; dropping every
+  // segment's un-synced tail covers that case too.
+  for (const Segment& seg : segments_) dfs_->writer_crashed(seg.path);
 }
 
 WalStats Wal::stats() const {

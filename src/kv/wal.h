@@ -75,10 +75,11 @@ class Wal {
   /// Figure 2(a) call.
   TFR_BLOCKING Status sync();
 
-  /// Close the current segment (sync it) and open a fresh one. HBase rolls
+  /// Open a fresh segment, then sync and close the old one. HBase rolls
   /// when a segment exceeds a size threshold so old segments can later be
-  /// reclaimed.
-  Status roll();
+  /// reclaimed. Appends proceed during the old segment's sync; a concurrent
+  /// sync() waits for it.
+  TFR_BLOCKING Status roll();
 
   /// Delete closed segments whose records all have seq < `min_needed_seq`
   /// (i.e. every region's un-flushed edits start at or after it). Returns
@@ -129,6 +130,13 @@ class Wal {
 
   static std::string segment_path(const std::string& base, std::uint64_t index);
   Status open_segment_locked() TFR_REQUIRES(mutex_);
+  /// Paths of the segments holding a record above synced_seq_, oldest first.
+  std::vector<std::string> unsynced_segments_locked() const TFR_REQUIRES(mutex_);
+  /// DFS-sync `paths`, then advance synced_seq_ to `frontier` (sequence
+  /// numbers up to it that are in no path were burned by failed appends).
+  /// Caller holds sync_mutex_ and captured both under mutex_.
+  TFR_BLOCKING Status sync_segments(const std::vector<std::string>& paths,
+                                    std::uint64_t frontier);
 
   struct Segment {
     std::string path;
@@ -150,7 +158,8 @@ class Wal {
   std::uint64_t rolls_ TFR_GUARDED_BY(mutex_) = 0;
   std::uint64_t truncated_ TFR_GUARDED_BY(mutex_) = 0;
 
-  // Serializes syncs; appends proceed concurrently. Outer of mutex_.
+  // Serializes syncs and rolls; appends proceed concurrently. Outer of
+  // mutex_.
   RankedMutex<LockRank::kWalSync> sync_mutex_{"wal_sync"};
   std::atomic<std::uint64_t> sync_count_{0};
 };

@@ -1,6 +1,7 @@
 #include "src/recovery/persist_tracker.h"
 
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 
 namespace tfr {
 
@@ -9,8 +10,9 @@ PersistTracker::PersistTracker(RegionServer& server, std::function<Timestamp()> 
     : server_(&server), fetch_global_tf_(std::move(fetch_global_tf)), tp_(initial_tp) {}
 
 void PersistTracker::install() {
-  server_->set_writeset_observer([this](Timestamp ts, std::optional<Timestamp> piggyback) {
-    if (on_received(ts, piggyback)) {
+  server_->set_writeset_observer([this](const std::vector<Timestamp>& commit_ts,
+                                        std::optional<Timestamp> piggyback) {
+    if (on_received(commit_ts, piggyback)) {
       // Algorithm 3: an inherited (lowered) threshold is reported to the
       // recovery manager immediately, not at the next periodic heartbeat.
       server_->heartbeat_now();
@@ -19,14 +21,18 @@ void PersistTracker::install() {
   server_->set_pre_heartbeat_hook([this] { return heartbeat_payload(); });
 }
 
-bool PersistTracker::on_received(Timestamp commit_ts, std::optional<Timestamp> piggyback_tp) {
+bool PersistTracker::on_received(const std::vector<Timestamp>& commit_ts,
+                                 std::optional<Timestamp> piggyback_tp) {
+  static Counter& inheritances = global_counter("tracker.inheritances");
   MutexLock lock(mutex_);
-  pq_.push(commit_ts);
+  for (Timestamp ts : commit_ts) pq_.push(ts);
   if (piggyback_tp && *piggyback_tp < tp_) {
     // Inherit responsibility for the failed server's un-persisted window.
     TFR_LOG(INFO, "tracker") << server_->id() << " inherits TP " << *piggyback_tp
-                             << " (was " << tp_ << ")";
+                             << " (was " << tp_ << ") for " << commit_ts.size()
+                             << " write-set(s)";
     tp_ = *piggyback_tp;
+    inheritances.add();
     return true;  // Algorithm 3: heartbeat() right away
   }
   return false;

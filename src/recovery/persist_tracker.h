@@ -17,7 +17,9 @@
 // piggybacked TP(s_failed), the receiving server lowers its own threshold to
 // it — otherwise a second failure in the window before the next WAL sync
 // could lose the replayed update, since recovery for *this* server would
-// only replay transactions after its own (higher) TP.
+// only replay transactions after its own (higher) TP. A replay arrives as
+// one apply frame per region, so the server inherits, heartbeats and syncs
+// its WAL once per frame, not once per replayed write-set.
 //
 // The tracker installs itself into the region server's two extension
 // points: the write-set observer and the pre-heartbeat hook.
@@ -25,6 +27,7 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "src/common/queue.h"
 #include "src/kv/region_server.h"
@@ -41,14 +44,17 @@ class PersistTracker {
                  Timestamp initial_tp);
 
   /// Wire this tracker into the server's hooks. The server will then call
-  /// on_received() for every write-set and heartbeat_payload() before every
+  /// on_received() once per apply frame and heartbeat_payload() before every
   /// heartbeat.
   void install();
 
-  /// Algorithm 3, "On receive": track the write-set; inherit a piggybacked
-  /// threshold. Returns true if an immediate heartbeat should follow (the
-  /// threshold was lowered and the recovery manager should learn quickly).
-  bool on_received(Timestamp commit_ts, std::optional<Timestamp> piggyback_tp);
+  /// Algorithm 3, "On receive", for one apply frame: track its write-sets;
+  /// inherit the lowest threshold piggybacked on them. Returns true if an
+  /// immediate heartbeat should follow (the threshold was lowered and the
+  /// recovery manager should learn quickly). Counted in
+  /// tracker.inheritances.
+  bool on_received(const std::vector<Timestamp>& commit_ts,
+                   std::optional<Timestamp> piggyback_tp);
 
   /// Algorithm 3, "On heartbeat": persist everything received (WAL sync),
   /// advance TP(s) to the global TF, and return TP(s) as the payload.

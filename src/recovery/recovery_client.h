@@ -10,6 +10,11 @@
 //  3. during server recovery it piggybacks the failed server's TP(s) on
 //     every replayed write-set so the receiving server inherits
 //     responsibility for the replayed updates.
+//
+// Both recoveries replay their whole candidate list through one batched
+// KvClient::flush_writesets call — one BatchApplyRequest frame per target
+// server per retry round — so a region's gate replay costs its target one
+// inheritance and one WAL sync, not one per write-set.
 #pragma once
 
 #include "src/kv/kv_client.h"
@@ -21,21 +26,22 @@ struct RecoveryClientStats {
   std::int64_t region_writesets_replayed = 0;
   std::int64_t mutations_replayed = 0;
   std::int64_t mutations_skipped = 0;  // outside the recovering region
+  std::int64_t flush_rpcs = 0;         // apply frames sent, retries included
 };
 
 class RecoveryClient {
  public:
   explicit RecoveryClient(Master& master) : kv_(master) {}
 
-  /// Client recovery: replay the full write-set with its original commit
-  /// timestamp to whatever servers currently host its rows.
-  Status replay_for_client(const WriteSet& ws);
+  /// Client recovery: replay the full write-sets with their original
+  /// commit timestamps to whatever servers currently host their rows.
+  Status replay_for_client(const std::vector<WriteSet>& writesets);
 
-  /// Server recovery: replay only the updates of `ws` that fall within
-  /// `region`, piggybacking the failed server's TP(s). No-op if the
-  /// write-set has no update in the region.
-  Status replay_for_region(const WriteSet& ws, const RegionDescriptor& region,
-                           Timestamp failed_server_tp);
+  /// Server recovery: replay only the updates of `writesets` that fall
+  /// within `region`, piggybacking the failed server's TP(s). Write-sets
+  /// with no update in the region are skipped.
+  Status replay_for_region(const std::vector<WriteSet>& writesets,
+                           const RegionDescriptor& region, Timestamp failed_server_tp);
 
   RecoveryClientStats stats() const;
 

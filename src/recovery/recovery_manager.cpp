@@ -249,11 +249,9 @@ void RecoveryManager::recover_client(const std::string& client_id, Timestamp tfr
   // replaying them is idempotent.
   const auto writesets =
       tm_->log().fetch_client_after(client_id, config_.ignore_thresholds ? kNoTimestamp : tfr);
-  for (const auto& ws : writesets) {
-    Status s = recovery_client_.replay_for_client(ws);
-    if (!s.is_ok()) {
-      TFR_LOG(ERROR, "rm") << "client replay of txn " << ws.commit_ts << " failed: " << s;
-    }
+  if (Status s = recovery_client_.replay_for_client(writesets); !s.is_ok()) {
+    TFR_LOG(ERROR, "rm") << "client replay of " << writesets.size()
+                         << " write-sets failed: " << s;
   }
   {
     MutexLock lock(mutex_);
@@ -453,17 +451,17 @@ void RecoveryManager::on_region_recovered(const std::string& region_name,
   }
 
   // Replay every write-set committed after TPr(s) whose updates fall in
-  // this region, with TPr(s) piggybacked (inheritance, §3.2).
+  // this region, with TPr(s) piggybacked (inheritance, §3.2), as one batched
+  // apply frame per retry round: the target inherits and syncs its WAL once.
   const auto writesets =
       tm_->log().fetch_after(config_.ignore_thresholds ? kNoTimestamp : pending.tpr);
-  std::int64_t replayed = 0;
-  for (const auto& ws : writesets) {
-    Status s = recovery_client_.replay_for_region(ws, loc.value().descriptor, pending.tpr);
-    if (!s.is_ok()) {
-      TFR_LOG(ERROR, "rm") << "region replay of txn " << ws.commit_ts << " failed: " << s;
-    } else {
-      ++replayed;
-    }
+  std::int64_t replayed = static_cast<std::int64_t>(writesets.size());
+  if (Status s = recovery_client_.replay_for_region(writesets, loc.value().descriptor,
+                                                    pending.tpr);
+      !s.is_ok()) {
+    TFR_LOG(ERROR, "rm") << "region replay of " << writesets.size() << " write-sets into "
+                         << region_name << " failed: " << s;
+    replayed = 0;
   }
 
   {

@@ -3,6 +3,7 @@
 // client, and the TF bookkeeping around it.
 #include <gtest/gtest.h>
 
+#include "src/common/fault.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -133,6 +134,46 @@ TEST_F(ClientRecoveryTest, ReplayIsIdempotentWhenFlushAlreadyHappened) {
   ASSERT_TRUE(bed_.wait_stable(ts.value()));
   Transaction r = bed_.client(1).begin("t");
   EXPECT_EQ(r.get("idem", "c").value().value(), "once");
+  r.abort();
+}
+
+TEST_F(ClientRecoveryTest, ReplayIsOneBatchedFlushNotOneRpcPerWriteset) {
+  // Every apply fails until the client is dead, so none of its write-sets
+  // reaches the store and TF(c) stays below all of them.
+  FaultRule lose_applies;
+  lose_applies.op = FaultOp::kRpcApply;
+  lose_applies.error_probability = 1.0;
+  bed_.fault().add_rule(lose_applies);
+  TxnClient& victim = bed_.client(0);
+  constexpr int kWritesets = 20;
+  Timestamp last = kNoTimestamp;
+  for (int i = 0; i < kWritesets; ++i) {
+    Transaction txn = victim.begin("t");
+    txn.put(Testbed::row_key(i), "c", "batched-" + std::to_string(i));
+    auto ts = txn.commit();
+    ASSERT_TRUE(ts.is_ok());
+    last = ts.value();
+  }
+  bed_.crash_client(0);
+  bed_.fault().clear_rules();
+  ASSERT_TRUE(bed_.wait_client_recoveries(1));
+  bed_.wait_for_recovery();
+
+  // fetchlogs(c, TFr(c)) hands every write-set to one batched flush: one
+  // apply frame per server hosting replayed rows, not one RPC per write-set.
+  const auto stats = bed_.rm().recovery_client_stats();
+  EXPECT_EQ(stats.client_writesets_replayed, kWritesets);
+  EXPECT_GE(stats.flush_rpcs, 1);
+  EXPECT_LE(stats.flush_rpcs, bed_.cluster().num_servers());
+
+  ASSERT_TRUE(bed_.wait_stable(last));
+  Transaction r = bed_.client(1).begin("t");
+  for (int i = 0; i < kWritesets; ++i) {
+    auto v = r.get(Testbed::row_key(i), "c");
+    ASSERT_TRUE(v.is_ok());
+    ASSERT_TRUE(v.value().has_value()) << "lost committed row " << i;
+    EXPECT_EQ(*v.value(), "batched-" + std::to_string(i));
+  }
   r.abort();
 }
 

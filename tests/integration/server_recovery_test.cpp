@@ -3,6 +3,11 @@
 // cascading failures, and interrupted client flushes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
+#include "src/common/fault.h"
+#include "src/common/metrics.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -46,6 +51,27 @@ class ServerRecoveryTest : public ::testing::Test {
       EXPECT_EQ(*v.value(), "value-" + std::to_string(i));
     }
     r.abort();
+  }
+
+  /// Index of the server hosting `row`.
+  int host_of(const std::string& row) {
+    auto loc = bed_.master().locate("t", row);
+    EXPECT_TRUE(loc.is_ok());
+    for (int i = 0; i < bed_.cluster().num_servers(); ++i) {
+      if (loc.is_ok() && bed_.cluster().server(i).id() == loc.value().server_id) return i;
+    }
+    ADD_FAILURE() << "no server hosts " << row;
+    return 0;
+  }
+
+  /// Fail every WAL sync of server i: its TP(s) never advances, so a crash
+  /// leaves every write-set it received to the gate replay.
+  void fail_wal_syncs(int i) {
+    FaultRule rule;
+    rule.op = FaultOp::kDfsSync;
+    rule.target = bed_.cluster().server(i).wal_path();
+    rule.error_probability = 1.0;
+    bed_.fault().add_rule(rule);
   }
 
   Testbed bed_;
@@ -209,6 +235,112 @@ TEST_F(ServerRecoveryTest, SplitWalEditsCombineWithTmLogReplay) {
   bed_.wait_for_recovery();
   ASSERT_TRUE(bed_.wait_stable(second.back()));
   verify_rows(0, 40);
+}
+
+TEST_F(ServerRecoveryTest, GateReplaysARegionInOneFrameWithOneInheritance) {
+  // Every row below lies in the table's first region. Its host never syncs
+  // its WAL, so the gate replays every write-set into the one region.
+  constexpr int kRows = 20;
+  const int victim = host_of(Testbed::row_key(0));
+  fail_wal_syncs(victim);
+  auto tss = commit_rows(0, kRows);
+  ASSERT_TRUE(bed_.client().wait_flushed());
+  Counter& inheritances = global_counter("tracker.inheritances");
+  const auto inherited_before = inheritances.get();
+
+  bed_.crash_server(victim);
+  ASSERT_TRUE(bed_.wait_server_recoveries(1));
+  bed_.wait_for_recovery();
+
+  // One apply frame carries the region's whole candidate list; the target
+  // inherits TPr(s) — and pays the inheritance heartbeat's WAL sync — once
+  // per frame, not once per write-set.
+  const auto stats = bed_.rm().recovery_client_stats();
+  EXPECT_EQ(stats.region_writesets_replayed, kRows);
+  EXPECT_GE(stats.flush_rpcs, 1);
+  EXPECT_LT(stats.flush_rpcs, kRows);
+  const auto inherited = inheritances.get() - inherited_before;
+  EXPECT_GE(inherited, 1);
+  EXPECT_LE(inherited, stats.flush_rpcs);
+
+  ASSERT_TRUE(bed_.wait_stable(tss.back()));
+  verify_rows(0, kRows);
+}
+
+TEST_F(ServerRecoveryTest, ReplayedWritesSurviveTargetCrashRightAfterItsGate) {
+  // §5 invariant 6 with per-frame inheritance: the gate's replay frame is
+  // WAL-synced on the target before it is acked, so crashing the target
+  // the moment its gate returns loses none of the replayed write-sets.
+  constexpr int kRows = 20;
+  const int victim = host_of(Testbed::row_key(0));
+  const std::string region = bed_.master().locate("t", Testbed::row_key(0)).value().region_name;
+  fail_wal_syncs(victim);
+  auto tss = commit_rows(0, kRows);
+  ASSERT_TRUE(bed_.client().wait_flushed());
+
+  // A gate can still fire after this test body returns (an assertion that
+  // ends it early leaves recovery in flight), so the gates share ownership
+  // of what they write.
+  auto target = std::make_shared<std::atomic<int>>(-1);
+  for (int i = 0; i < bed_.cluster().num_servers(); ++i) {
+    bed_.cluster().server(i).set_region_gate(
+        [this, i, region, target](const std::string& name, const std::string& server_id) {
+          bed_.rm().on_region_recovered(name, server_id);
+          if (name == region) target->store(i, std::memory_order_release);
+        });
+  }
+  bed_.crash_server(victim);
+  const Micros deadline = now_micros() + seconds(30);
+  while (target->load(std::memory_order_acquire) < 0 && now_micros() < deadline) {
+    sleep_micros(100);
+  }
+  const int next = target->load(std::memory_order_acquire);
+  ASSERT_GE(next, 0) << "the region was never gated";
+  ASSERT_NE(next, victim);
+  bed_.crash_server(next);
+  EXPECT_GE(bed_.rm().recovery_client_stats().region_writesets_replayed, kRows);
+
+  ASSERT_TRUE(bed_.wait_server_recoveries(2));
+  bed_.wait_for_recovery();
+  ASSERT_TRUE(bed_.client().wait_flushed());
+  ASSERT_TRUE(bed_.wait_stable(tss.back()));
+  verify_rows(0, kRows);
+}
+
+TEST(InFlightApplyTest, CrashUnderAnInFlightFlushIsRetriedNotDropped) {
+  // The crash closes the WAL segment under an apply that has passed the
+  // server's liveness check. The flusher must retry the write-set into the
+  // recovered region, not drop it: a dropped write-set never counts as
+  // flushed, so TF(c) — and with it TF and TP — would stop short of it.
+  TestbedConfig cfg = fast_test_config(2, 1);
+  cfg.cluster.server.write_service = millis(200);
+  // Detection must come after the apply reaches the WAL: an apply that
+  // outlives the takeover is fenced (WrongEpoch), which was always retried.
+  cfg.cluster.server.session_ttl = seconds(1);
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 1000, 2).is_ok());
+  const std::string row = Testbed::row_key(0);
+  const std::string host = bed.master().locate("t", row).value().server_id;
+
+  Transaction txn = bed.client().begin("t");
+  txn.put(row, "c", "in-flight");
+  auto ts = txn.commit();
+  ASSERT_TRUE(ts.is_ok());
+  sleep_millis(50);  // the flusher's apply is now inside its service time
+  for (int i = 0; i < bed.cluster().num_servers(); ++i) {
+    if (bed.cluster().server(i).id() == host) bed.crash_server(i);
+  }
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+  ASSERT_TRUE(bed.client().wait_flushed(seconds(30))) << "the in-flight write-set was dropped";
+  ASSERT_TRUE(bed.wait_stable(ts.value()));
+  Transaction r = bed.client().begin("t");
+  auto v = r.get(row, "c");
+  ASSERT_TRUE(v.is_ok());
+  ASSERT_TRUE(v.value().has_value());
+  EXPECT_EQ(*v.value(), "in-flight");
+  r.abort();
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST(KvClientTest, CancelFlagAbortsBlockedFlush) {
   std::atomic<bool> cancel{false};
   Status result = Status::ok();
   std::thread flusher([&] {
-    result = client.flush_writeset(ws_of(1, {"row"}), std::nullopt, false, &cancel);
+    result = client.flush_writeset(ws_of(1, {"row"}), &cancel);
   });
   sleep_millis(30);
   EXPECT_GT(client.stats().flush_retries, 0);

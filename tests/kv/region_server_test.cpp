@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/common/fault.h"
 #include "src/common/metrics.h"
 
@@ -138,19 +140,84 @@ TEST_F(RegionServerTest, RegionGateRunsBeforeOnline) {
 }
 
 TEST_F(RegionServerTest, WritesetObserverSeesCommitTsAndPiggyback) {
-  Timestamp seen_ts = 0;
-  std::optional<Timestamp> seen_piggyback;
-  server_.set_writeset_observer([&](Timestamp ts, std::optional<Timestamp> piggyback) {
-    seen_ts = ts;
-    seen_piggyback = piggyback;
-  });
+  std::vector<std::vector<Timestamp>> seen_ts;
+  std::vector<std::optional<Timestamp>> seen_piggyback;
+  server_.set_writeset_observer(
+      [&](const std::vector<Timestamp>& ts, std::optional<Timestamp> piggyback) {
+        seen_ts.push_back(ts);
+        seen_piggyback.push_back(piggyback);
+      });
   auto req = make_request(9, {"r1"});
   req.piggyback_tp = 4;
   req.recovery_replay = true;
   ASSERT_TRUE(server_.apply_writeset(req).is_ok());
-  EXPECT_EQ(seen_ts, 9);
-  ASSERT_TRUE(seen_piggyback.has_value());
-  EXPECT_EQ(*seen_piggyback, 4);
+  ASSERT_EQ(seen_ts.size(), 1u);
+  EXPECT_EQ(seen_ts[0], std::vector<Timestamp>{9});
+  EXPECT_EQ(seen_piggyback[0], std::optional<Timestamp>(4));
+
+  // A frame of three slices, the middle one rejected (its table is not
+  // hosted here): one observer call for the frame, carrying the two
+  // accepted timestamps and the lowest TP(s) piggybacked on them. The
+  // rejected slice was not received, so its lower piggyback is not
+  // inherited; the client re-sends it.
+  BatchApplyRequest frame;
+  frame.slices = {make_request(11, {"r2"}), make_request(12, {"r3"}, "unknown_table"),
+                  make_request(13, {"r4"})};
+  frame.slices[0].piggyback_tp = 7;
+  frame.slices[1].piggyback_tp = 2;
+  frame.slices[2].piggyback_tp = 5;
+  for (auto& slice : frame.slices) slice.recovery_replay = true;
+  auto statuses = server_.apply_batch(frame);
+  ASSERT_TRUE(statuses.is_ok());
+  EXPECT_TRUE(statuses.value()[0].is_ok());
+  EXPECT_TRUE(statuses.value()[1].is_unavailable());
+  EXPECT_TRUE(statuses.value()[2].is_ok());
+  ASSERT_EQ(seen_ts.size(), 2u) << "one observer call per frame";
+  EXPECT_EQ(seen_ts[1], (std::vector<Timestamp>{11, 13}));
+  EXPECT_EQ(seen_piggyback[1], std::optional<Timestamp>(5));
+
+  // A frame with no accepted slice is not observed at all.
+  frame.slices = {make_request(14, {"r5"}, "unknown_table")};
+  ASSERT_TRUE(server_.apply_batch(frame).is_ok());
+  EXPECT_EQ(seen_ts.size(), 2u);
+}
+
+RegionServerConfig slow_apply_config() {
+  RegionServerConfig cfg = quiet_config();
+  // Long enough that the crash below lands while the apply is inside its
+  // service time: past the liveness check, before the WAL append.
+  cfg.write_service = millis(300);
+  return cfg;
+}
+
+TEST_F(RegionServerTest, CrashUnderAnApplyIsRetryableNotFatal) {
+  // The crash closes the WAL segment under the in-flight append, which the
+  // DFS answers with Closed. The client must see Unavailable and re-send:
+  // a fatal status would make the flusher drop the write-set for good.
+  RegionServer slow("rs-slow", dfs_, coord_, slow_apply_config());
+  ASSERT_TRUE(slow.start().is_ok());
+  ASSERT_TRUE(slow.open_region(RegionDescriptor{"t5", "", ""}, {}).is_ok());
+  Status single;
+  std::thread apply([&] { single = slow.apply_writeset(make_request(5, {"r1"}, "t5")); });
+  sleep_millis(50);
+  slow.crash();
+  apply.join();
+  EXPECT_TRUE(single.is_unavailable()) << single;
+}
+
+TEST_F(RegionServerTest, CrashUnderABatchFailsEverySliceRetryably) {
+  RegionServer slow("rs-slow-batch", dfs_, coord_, slow_apply_config());
+  ASSERT_TRUE(slow.start().is_ok());
+  ASSERT_TRUE(slow.open_region(RegionDescriptor{"t6", "", ""}, {}).is_ok());
+  BatchApplyRequest frame;
+  frame.slices = {make_request(5, {"r1"}, "t6"), make_request(6, {"r2"}, "t6")};
+  Result<std::vector<Status>> statuses = Status::internal("not run");
+  std::thread apply([&] { statuses = slow.apply_batch(frame); });
+  sleep_millis(50);
+  slow.crash();
+  apply.join();
+  ASSERT_TRUE(statuses.is_ok()) << statuses.status();
+  for (const Status& s : statuses.value()) EXPECT_TRUE(s.is_unavailable()) << s;
 }
 
 TEST_F(RegionServerTest, PreHeartbeatHookSuppliesPayload) {

@@ -2,10 +2,12 @@
 // store's log bounded once memstore flushes have persisted the data.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 
 #include "src/common/codec.h"
+#include "src/common/fault.h"
 #include "src/kv/region_server.h"
 #include "src/kv/wal.h"
 
@@ -94,6 +96,90 @@ TEST(WalRollTest, CrashLosesOnlyOpenSegmentTail) {
   auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].seq, 1u);
+}
+
+TEST(WalRollTest, ConcurrentAppendRollSyncNeverCoversANonDurableRecord) {
+  // Appends race rolls and syncs, then the writer crashes: every record at
+  // or below synced_seq must come back from the DFS. A record appended into
+  // the closing segment after the roll's sync captured its frontier would be
+  // closed un-synced while the next sync advanced synced_seq past it.
+  DfsConfig config;
+  config.sync_latency = 300;  // a wide window for appends to land in
+  Dfs dfs{config};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  std::atomic<bool> stop{false};
+  std::vector<std::vector<std::uint64_t>> appended(2);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < appended.size(); ++w) {
+    threads.emplace_back([&, w] {
+      for (Timestamp ts = 1; !stop.load(std::memory_order_acquire); ++ts) {
+        auto seq = wal->append(rec("r" + std::to_string(w), ts));
+        ASSERT_TRUE(seq.is_ok()) << seq.status();
+        appended[w].push_back(seq.value());
+        std::this_thread::yield();
+      }
+    });
+  }
+  // Pauses between rolls and syncs keep the (unfair) locks from starving
+  // the roller; appends keep landing throughout.
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(wal->roll().is_ok());
+      sleep_micros(500);
+    }
+  });
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(wal->sync().is_ok());
+      sleep_micros(200);
+    }
+  });
+  sleep_millis(150);
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+
+  const std::uint64_t synced = wal->synced_seq();
+  wal->crash();
+  auto records = Wal::read_records(dfs, "/wal/rs1.log");
+  ASSERT_TRUE(records.is_ok()) << records.status();
+  std::set<std::uint64_t> durable;
+  for (const auto& r : records.value()) durable.insert(r.seq);
+  ASSERT_GT(wal->stats().rolls, 10u);
+  std::size_t checked = 0;
+  for (const auto& seqs : appended) {
+    for (std::uint64_t seq : seqs) {
+      if (seq > synced) continue;
+      ++checked;
+      EXPECT_TRUE(durable.count(seq) == 1) << "seq " << seq << " <= synced_seq " << synced
+                                           << " lost in the crash";
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(WalRollTest, SyncCoversASegmentWhoseRollFailedToSync) {
+  // A roll whose sync fails still switches to the fresh segment; the old
+  // one keeps its records above synced_seq, so the next sync() syncs both
+  // segments before advancing.
+  Dfs dfs{DfsConfig{}};
+  FaultInjector fault;
+  dfs.set_fault_injector(&fault);
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  FaultRule fail_sync;
+  fail_sync.op = FaultOp::kDfsSync;
+  fail_sync.fail_next = 1;
+  fault.add_rule(fail_sync);
+  EXPECT_TRUE(wal->roll().is_unavailable());
+  EXPECT_EQ(wal->synced_seq(), 0u);
+  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());
+  ASSERT_TRUE(wal->sync().is_ok());
+  EXPECT_EQ(wal->synced_seq(), 2u);
+  wal->crash();
+  auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].seq, 1u);
+  EXPECT_EQ(records[1].seq, 2u);
 }
 
 TEST(WalRollTest, RegionServerRollsAndReclaimsAfterMemstoreFlush) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
+
 namespace tfr {
 namespace {
 
@@ -91,11 +93,11 @@ TEST_F(PersistTrackerTest, PiggybackLowersTp) {
   // observe the inherited threshold.
   PersistTracker tracker(server_, [this] { return global_tf_; }, 0);
   global_tf_ = 10;
-  tracker.on_received(8, std::nullopt);
+  tracker.on_received({8}, std::nullopt);
   EXPECT_EQ(tracker.heartbeat_payload(), 10);
   // A replayed update arrives with the failed server's TPr(s)=4: this
   // server inherits responsibility for the window (4, ...].
-  EXPECT_TRUE(tracker.on_received(9, /*piggyback_tp=*/4));
+  EXPECT_TRUE(tracker.on_received({9}, /*piggyback_tp=*/4));
   EXPECT_EQ(tracker.tp(), 4);
   // The next heartbeat persists the replayed update and re-advances: it is
   // now this server's responsibility AND durable, so TP may rise again.
@@ -116,6 +118,42 @@ TEST_F(PersistTrackerTest, InstalledPathReAdvancesAfterImmediateHeartbeatPersist
   ASSERT_TRUE(apply(9, /*piggyback=*/4).is_ok());
   EXPECT_EQ(tracker.tp(), 10) << "immediate heartbeat persisted and re-advanced";
   EXPECT_GT(server_.wal().synced_seq(), synced_before);
+}
+
+TEST_F(PersistTrackerTest, ReplayFrameInheritsAndSyncsOnce) {
+  // A region's gate replay arrives as one apply frame: the server inherits
+  // TPr(s) once, and the immediate heartbeat syncs the WAL once, covering
+  // every replayed slice before the frame is acked.
+  PersistTracker tracker(server_, [this] { return global_tf_; }, 0);
+  tracker.install();
+  global_tf_ = 20;
+  ASSERT_TRUE(apply(8).is_ok());
+  EXPECT_EQ(tracker.heartbeat_payload(), 20);
+  Counter& inheritances = global_counter("tracker.inheritances");
+  const auto inherited_before = inheritances.get();
+  const auto syncs_before = server_.wal().stats().syncs;
+
+  BatchApplyRequest frame;
+  for (Timestamp ts : {11, 12, 13, 14}) {
+    ApplyRequest slice;
+    slice.txn_id = static_cast<std::uint64_t>(ts);
+    slice.client_id = "c1";
+    slice.commit_ts = ts;
+    slice.table = "t";
+    slice.mutations.push_back(Mutation{"row" + std::to_string(ts), "c", "v", false});
+    slice.piggyback_tp = 4;
+    slice.recovery_replay = true;
+    frame.slices.push_back(slice);
+  }
+  auto statuses = server_.apply_batch(frame);
+  ASSERT_TRUE(statuses.is_ok());
+  for (const Status& s : statuses.value()) EXPECT_TRUE(s.is_ok()) << s;
+
+  EXPECT_EQ(inheritances.get() - inherited_before, 1);
+  EXPECT_EQ(server_.wal().stats().syncs - syncs_before, 1u);
+  EXPECT_EQ(server_.wal().synced_seq(), server_.wal().appended_seq())
+      << "every replayed slice is durable once the frame is acked";
+  EXPECT_EQ(tracker.tp(), 20);
 }
 
 TEST_F(PersistTrackerTest, PiggybackAboveTpIsIgnored) {
