@@ -1,23 +1,18 @@
 // bench_commit — committed-transaction throughput of the post-commit
-// pipeline, A/B in one run:
-//
-//   legacy    — one apply RPC per write-set per server, fixed group commit
-//               (TxnLogConfig::adaptive = false, TxnClientConfig::
-//               pipelined_flush = false);
-//   pipelined — write-set slices batched per destination server into one
-//               BatchApplyRequest RPC per flusher round, adaptive group
-//               commit sizing the accumulation window from observed sync
-//               latency and queue depth.
+// pipeline: write-set slices batched per destination server into one
+// BatchApplyRequest RPC per flusher round, and adaptive group commit sizing
+// the TM log's accumulation window from observed sync latency and queue
+// depth.
 //
 // 8 committer threads (2 per client over 4 clients) each commit a fixed
 // quota of single-row transactions over disjoint key ranges (no SI
 // conflicts: the pipeline, not the conflict rate, is under test). The
 // clock stops only after every client's flush queue has drained
-// (wait_flushed), so flush capacity — the legacy bottleneck — is part of
-// the measured throughput, not hidden backlog.
+// (wait_flushed), so flush capacity is part of the measured throughput,
+// not hidden backlog.
 //
-// Emits BENCH_commit.json with both modes, the speedup, the
-// log.batch_size / log.sync_wait histograms, and the flush RPC counters.
+// Emits BENCH_commit.json with the throughput, the log.batch_size /
+// log.sync_wait histograms, and the flush RPC counters.
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -36,8 +31,7 @@ constexpr int kThreads = 8;  // committer threads, spread over the clients
 constexpr std::uint64_t kRows = 4096;
 constexpr int kRegions = 4;
 
-struct ModeReport {
-  std::string mode;
+struct Report {
   double wall_s = 0;
   double tps = 0;
   double commit_mean_ms = 0;
@@ -55,19 +49,15 @@ struct ModeReport {
   Micros sync_wait_p99 = 0;
 };
 
-TestbedConfig commit_config(bool pipelined) {
+TestbedConfig commit_config() {
   TestbedConfig cfg = bench::paper_config(/*servers=*/2);
   cfg.num_clients = kClients;
   // Lean flusher pool: the paper's client has a bounded background pool;
-  // with one thread per client the legacy one-RPC-per-write-set path is
-  // firmly flush-bound while the batched path stays commit-bound.
+  // with one thread per client the batched flush path stays commit-bound.
   cfg.client.flusher_threads = 1;
-  cfg.client.pipelined_flush = pipelined;
-  cfg.client.flush_batch_max = 32;
   // Commit path: ~0.4 ms stable-storage write per group-commit batch.
   cfg.txn_log.sync_latency = 400;
   cfg.txn_log.sync_jitter = 100;
-  cfg.txn_log.adaptive = pipelined;
   // Flush path: ~1 ms per apply RPC, cheap per-slice service so the
   // round-trip (not the server CPU) dominates the per-write-set cost.
   cfg.cluster.server.rpc_latency = 1000;
@@ -77,15 +67,14 @@ TestbedConfig commit_config(bool pipelined) {
   return cfg;
 }
 
-ModeReport run_mode(bool pipelined, std::uint64_t txns_per_thread) {
-  ModeReport rep;
-  rep.mode = pipelined ? "pipelined" : "legacy";
+Report run(std::uint64_t txns_per_thread) {
+  Report rep;
   reset_global_counters();
   reset_global_histograms();
 
-  Testbed bed(commit_config(pipelined));
+  Testbed bed(commit_config());
   if (!bench::prepare(bed, kRows, kRegions).is_ok()) {
-    std::fprintf(stderr, "testbed setup failed (%s)\n", rep.mode.c_str());
+    std::fprintf(stderr, "testbed setup failed\n");
     return rep;
   }
 
@@ -153,73 +142,55 @@ ModeReport run_mode(bool pipelined, std::uint64_t txns_per_thread) {
   }
 
   bed.stop();
-  std::printf("%-10s  wall=%6.2fs  tps=%8.1f  commit mean=%6.2fms p99=%6.2fms  "
+  std::printf("wall=%6.2fs  tps=%8.1f  commit mean=%6.2fms p99=%6.2fms  "
               "log batches=%lld/%lld appends (waits=%lld)  batch rpcs=%lld (%lld slices)\n",
-              rep.mode.c_str(), rep.wall_s, rep.tps, rep.commit_mean_ms, rep.commit_p99_ms,
+              rep.wall_s, rep.tps, rep.commit_mean_ms, rep.commit_p99_ms,
               static_cast<long long>(rep.log_batches), static_cast<long long>(rep.log_appends),
               static_cast<long long>(rep.log_group_waits), static_cast<long long>(rep.batch_rpcs),
               static_cast<long long>(rep.batch_slices));
   return rep;
 }
 
-void emit_json(const ModeReport& legacy, const ModeReport& pipelined, double speedup) {
+void emit_json(const Report& r) {
   std::FILE* out = std::fopen("BENCH_commit.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_commit.json\n");
     return;
   }
-  auto mode_json = [&](const ModeReport& r, const char* trailing) {
-    std::fprintf(out, "  \"%s\": {\n", r.mode.c_str());
-    std::fprintf(out, "    \"wall_s\": %.3f,\n", r.wall_s);
-    std::fprintf(out, "    \"committed_tps\": %.1f,\n", r.tps);
-    std::fprintf(out, "    \"committed\": %lld,\n", static_cast<long long>(r.committed));
-    std::fprintf(out, "    \"aborted\": %lld,\n", static_cast<long long>(r.aborted));
-    std::fprintf(out, "    \"commit_mean_ms\": %.3f,\n", r.commit_mean_ms);
-    std::fprintf(out, "    \"commit_p99_ms\": %.3f,\n", r.commit_p99_ms);
-    std::fprintf(out, "    \"log_appends\": %lld,\n", static_cast<long long>(r.log_appends));
-    std::fprintf(out, "    \"log_batches\": %lld,\n", static_cast<long long>(r.log_batches));
-    std::fprintf(out, "    \"log_group_waits\": %lld,\n",
-                 static_cast<long long>(r.log_group_waits));
-    std::fprintf(out, "    \"log_batch_size_mean\": %.2f,\n", r.batch_size_mean);
-    std::fprintf(out, "    \"log_batch_size_p99\": %lld,\n",
-                 static_cast<long long>(r.batch_size_p99));
-    std::fprintf(out, "    \"log_sync_wait_mean_ms\": %.3f,\n", r.sync_wait_mean_ms);
-    std::fprintf(out, "    \"log_sync_wait_p99_us\": %lld,\n",
-                 static_cast<long long>(r.sync_wait_p99));
-    std::fprintf(out, "    \"batch_apply_rpcs\": %lld,\n", static_cast<long long>(r.batch_rpcs));
-    std::fprintf(out, "    \"batch_apply_slices\": %lld\n",
-                 static_cast<long long>(r.batch_slices));
-    std::fprintf(out, "  }%s\n", trailing);
-  };
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"commit\",\n");
   std::fprintf(out, "  \"client_threads\": %d,\n", kThreads);
   std::fprintf(out, "  \"clients\": %d,\n", kClients);
   std::fprintf(out, "  \"scale\": %.3f,\n", bench::bench_scale());
-  mode_json(legacy, ",");
-  mode_json(pipelined, ",");
-  std::fprintf(out, "  \"speedup\": %.2f\n", speedup);
+  std::fprintf(out, "  \"wall_s\": %.3f,\n", r.wall_s);
+  std::fprintf(out, "  \"committed_tps\": %.1f,\n", r.tps);
+  std::fprintf(out, "  \"committed\": %lld,\n", static_cast<long long>(r.committed));
+  std::fprintf(out, "  \"aborted\": %lld,\n", static_cast<long long>(r.aborted));
+  std::fprintf(out, "  \"commit_mean_ms\": %.3f,\n", r.commit_mean_ms);
+  std::fprintf(out, "  \"commit_p99_ms\": %.3f,\n", r.commit_p99_ms);
+  std::fprintf(out, "  \"log_appends\": %lld,\n", static_cast<long long>(r.log_appends));
+  std::fprintf(out, "  \"log_batches\": %lld,\n", static_cast<long long>(r.log_batches));
+  std::fprintf(out, "  \"log_group_waits\": %lld,\n", static_cast<long long>(r.log_group_waits));
+  std::fprintf(out, "  \"log_batch_size_mean\": %.2f,\n", r.batch_size_mean);
+  std::fprintf(out, "  \"log_batch_size_p99\": %lld,\n", static_cast<long long>(r.batch_size_p99));
+  std::fprintf(out, "  \"log_sync_wait_mean_ms\": %.3f,\n", r.sync_wait_mean_ms);
+  std::fprintf(out, "  \"log_sync_wait_p99_us\": %lld,\n", static_cast<long long>(r.sync_wait_p99));
+  std::fprintf(out, "  \"batch_apply_rpcs\": %lld,\n", static_cast<long long>(r.batch_rpcs));
+  std::fprintf(out, "  \"batch_apply_slices\": %lld\n", static_cast<long long>(r.batch_slices));
   std::fprintf(out, "}\n");
   std::fclose(out);
-  std::printf("wrote BENCH_commit.json (speedup %.2fx)\n", speedup);
+  std::printf("wrote BENCH_commit.json\n");
 }
 
 }  // namespace
 
 int main() {
-  bench::print_header("Commit-pipeline throughput: pipelined vs legacy",
+  bench::print_header("Commit-pipeline throughput",
                       "commit hot path (§2.2 deferred updates, §4.1 group commit)");
   const std::uint64_t txns_per_thread =
       static_cast<std::uint64_t>(500.0 * bench::bench_scale()) + 8;
-  std::printf("# %d committer threads x %llu txns, both modes in one run\n", kThreads,
+  std::printf("# %d committer threads x %llu txns\n", kThreads,
               static_cast<unsigned long long>(txns_per_thread));
-
-  const ModeReport legacy = run_mode(/*pipelined=*/false, txns_per_thread);
-  const ModeReport pipelined = run_mode(/*pipelined=*/true, txns_per_thread);
-  const double speedup = legacy.tps > 0 ? pipelined.tps / legacy.tps : 0;
-  emit_json(legacy, pipelined, speedup);
-  if (speedup < 2.0) {
-    std::fprintf(stderr, "WARNING: pipelined/legacy speedup %.2fx below the 2x target\n", speedup);
-  }
+  emit_json(run(txns_per_thread));
   return 0;
 }

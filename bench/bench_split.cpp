@@ -109,9 +109,9 @@ int main() {
       client.set_client_id("bench-" + std::to_string(w));
       while (remaining.fetch_sub(1, std::memory_order_relaxed) > 0) {
         const Timestamp ts = next_ts.fetch_add(1, std::memory_order_relaxed);
-        Status s = client.flush_writeset(make_ws(ts, w, keys.next(rng)));
+        Status s = client.flush_writesets({make_ws(ts, w, keys.next(rng))});
         if (!s.is_ok()) {
-          std::fprintf(stderr, "bench_split: flush_writeset failed: %s\n",
+          std::fprintf(stderr, "bench_split: flush_writesets failed: %s\n",
                        s.to_string().c_str());
           std::abort();
         }

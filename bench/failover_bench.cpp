@@ -1,6 +1,6 @@
 // Failover availability — the write-unavailability window across a fenced
 // takeover. A probe client flushes single-row write-sets in a tight loop
-// against a region whose server is crash-failed mid-run; flush_writeset
+// against a region whose server is crash-failed mid-run; flush_writesets
 // retries until the fenced reassignment brings the region back, so the one
 // probe that straddles the outage measures it end to end:
 //
@@ -71,7 +71,7 @@ Trial run_trial() {
   KvClient client(cluster.master(), millis(1));
   client.set_client_id("probe");
   Timestamp ts = 1;
-  (void)client.flush_writeset(probe_ws(ts++, row));  // warm the route
+  (void)client.flush_writesets({probe_ws(ts++, row)});  // warm the route
 
   // Watcher: timestamps the master's failure detection.
   std::atomic<Micros> crash_at{0};
@@ -91,7 +91,7 @@ Trial run_trial() {
       cluster.crash_server(0);
       crash_at.store(now_micros(), std::memory_order_release);
     }
-    (void)client.flush_writeset(probe_ws(ts++, row));
+    (void)client.flush_writesets({probe_ws(ts++, row)});
     const Micros t1 = now_micros();
     t.stall_ms = std::max(t.stall_ms, static_cast<double>(t1 - t0) / 1e3);
     if (crash_at.load(std::memory_order_acquire) != 0) {

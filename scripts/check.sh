@@ -10,7 +10,7 @@
 #   scripts/check.sh soak-partition      # 10-seed zombie-server partition soak
 #   scripts/check.sh soak-recovery       # 20-seed cascading-failure soak
 #   scripts/check.sh soak-split          # 20-seed topology-churn soak
-#   scripts/check.sh bench-smoke         # ~5 s bench_commit A/B smoke run
+#   scripts/check.sh bench-smoke         # ~5 s commit/read/split bench smoke run
 #   scripts/check.sh tfrbench-smoke      # every tfrbench workload for 3 s, audited
 #   TFR_SANITIZE=address scripts/check.sh
 #   TFR_SANITIZE=thread  scripts/check.sh
@@ -136,9 +136,10 @@ case "$MODE" in
     exit 0
     ;;
   bench-smoke)
-    # Quick end-to-end exercise of the A/B hot-path benches: a few seconds
-    # each at a tiny TFR_BENCH_SCALE, checking only that all modes run and
-    # the JSON lands — the speedup claims (2x commit, 2x/5x read) need a
+    # Quick end-to-end exercise of the hot-path benches: a few seconds each
+    # at a tiny TFR_BENCH_SCALE, checking only that they run and the JSON
+    # lands. bench_commit has one arm (the pipelined commit path);
+    # bench_read is still an A/B whose speedup claims (2x/5x read) need a
     # full-scale run (scripts/run_benches.sh), not this.
     BUILD_DIR=build
     cmake -B "$BUILD_DIR" -S .

@@ -47,7 +47,6 @@ BLOCKING_METHODS = (
 BLOCKING_ANY = (
     "sleep_micros",
     "sleep_millis",
-    "apply_writeset",
     "apply_batch",
     "persist_wal",
     "finalize_store_file",

@@ -5,6 +5,12 @@
 
 namespace tfr {
 
+namespace {
+// The most queued write-sets one flusher round drains into a single
+// KvClient::flush_writesets call.
+constexpr std::size_t kFlushBatchMax = 32;
+}  // namespace
+
 // --- Transaction -------------------------------------------------------------
 
 void Transaction::put(const std::string& row, const std::string& column, std::string value) {
@@ -188,7 +194,7 @@ Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet w
   if (config_.sync_commit) {
     // Synchronous persistence: the write-set reaches (and is persisted by)
     // the servers before commit returns to the application.
-    TFR_RETURN_IF_ERROR(kv_.flush_writeset(to_flush, &flush_cancel_));
+    TFR_RETURN_IF_ERROR(kv_.flush_writesets({to_flush}, &flush_cancel_));
     tracker_.on_flushed(commit_ts);
     flushes_completed_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -205,16 +211,12 @@ void TxnClient::flusher_loop() {
     // queued (up to the batch cap) so one RPC round covers many write-sets.
     std::vector<WriteSet> batch;
     batch.push_back(std::move(*ws));
-    if (config_.pipelined_flush) {
-      while (batch.size() < config_.flush_batch_max) {
-        auto more = flush_queue_.try_pop();
-        if (!more) break;
-        batch.push_back(std::move(*more));
-      }
+    while (batch.size() < kFlushBatchMax) {
+      auto more = flush_queue_.try_pop();
+      if (!more) break;
+      batch.push_back(std::move(*more));
     }
-    Status s = batch.size() == 1
-                   ? kv_.flush_writeset(batch.front(), &flush_cancel_)
-                   : kv_.flush_writesets(batch, &flush_cancel_);
+    Status s = kv_.flush_writesets(batch, &flush_cancel_);
     if (!s.is_ok()) {
       // Only cancellation (crash) can break the unlimited-retry loop.
       TFR_LOG(INFO, "client") << id_ << " flush of " << batch.size()

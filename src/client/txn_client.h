@@ -55,14 +55,6 @@ struct TxnClientConfig {
   Micros flush_backoff = millis(2);
   int read_retries = 0;  ///< 0 = retry forever (block through failovers)
 
-  /// Pipelined flush: a flusher thread drains up to `flush_batch_max`
-  /// queued write-sets at once and ships all slices bound for the same
-  /// server in one batched apply RPC (see KvClient::flush_writesets). When
-  /// false each write-set is flushed by its own RPC round — the legacy
-  /// path, kept flag-selectable for the bench A/B.
-  bool pipelined_flush = true;
-  std::size_t flush_batch_max = 32;
-
   /// §3.2: alert when the number of committed-but-unflushed transactions
   /// exceeds this (a region stuck offline blocks TF(c) from advancing).
   std::size_t flush_queue_alert = 10'000;

@@ -108,7 +108,7 @@ void on_release(const void* mu);
 // Blocking-under-lock hook (annotations.h Layer 4): aborts with the held
 // locks and a backtrace when the calling thread holds any mutex whose rank
 // policy forbids blocking (lock_rank_may_block) and no ScopedBlockingAllowed
-// is active. `what` names the blocking operation ("dfs.sync", "rpc.apply").
+// is active. `what` names the blocking operation ("dfs.sync", "rpc.apply_batch").
 void on_blocking_call(const char* what, const char* file, int line);
 
 // Same policy check for a CondVar wait: every held lock *except* the one

@@ -37,7 +37,7 @@ namespace tfr {
 
 /// The injectable operation kinds, one per instrumented I/O boundary.
 enum class FaultOp {
-  kRpcApply,        // RegionServer::apply_writeset
+  kRpcApply,        // RegionServer::apply_batch (every apply RPC)
   kRpcGet,          // RegionServer::get
   kRpcScan,         // RegionServer::scan
   kDfsSync,         // Dfs::sync (per path)

@@ -64,88 +64,10 @@ void KvClient::invalidate_route(const std::string& table, const std::string& row
   invalidations.add();
 }
 
-Status KvClient::flush_writeset(const WriteSet& ws, const std::atomic<bool>* cancel) {
-  if (ws.mutations.empty()) return Status::ok();
-  if (ws.commit_ts == kNoTimestamp) {
-    return Status::invalid_argument("write-set has no commit timestamp");
-  }
-
-  // Track which mutations still need to be applied; a participant ack
-  // covers all mutations that were in its slice.
-  std::vector<Mutation> pending = ws.mutations;
-  Backoff backoff(retry_backoff_, retry_backoff_ * 32);
-
-  while (!pending.empty()) {
-    if (cancel && cancel->load(std::memory_order_acquire)) {
-      return Status::closed("flush cancelled (client died)");
-    }
-    // Group the pending mutations by the server currently hosting them.
-    std::map<std::string, std::vector<Mutation>> by_server;
-    Status route_error = Status::ok();
-    for (const auto& m : pending) {
-      auto loc = locate(ws.table, m.row);
-      if (!loc.is_ok()) {
-        // Unknown table: a region always covers the full keyspace of an
-        // existing table, so NotFound is permanent — fail instead of
-        // retrying forever.
-        if (loc.status().is_not_found()) return loc.status();
-        route_error = loc.status();
-        break;
-      }
-      by_server[loc.value().server_id].push_back(m);
-    }
-
-    if (route_error.is_ok()) {
-      std::vector<Mutation> still_pending;
-      for (auto& [server_id, muts] : by_server) {
-        RegionServer* stub = master_->server_stub(server_id);
-        Status s = stub == nullptr ? Status::unavailable("unknown server " + server_id)
-                                   : Status::ok();
-        if (s.is_ok()) {
-          ApplyRequest req;
-          req.txn_id = ws.txn_id;
-          req.client_id = ws.client_id;
-          req.commit_ts = ws.commit_ts;
-          req.table = ws.table;
-          req.mutations = muts;
-          flush_rpcs_.fetch_add(1, std::memory_order_relaxed);
-          s = stub->apply_writeset(req);
-        }
-        if (!s.is_ok()) {
-          // WrongEpoch means the slice hit a fenced (stale) owner;
-          // Unavailable covers a region that moved, split or is mid-
-          // recovery. Either way the cached routes for these rows are
-          // suspect: drop them so the retry re-locates through the master —
-          // which has already published the new assignment.
-          if (!s.is_unavailable() && !s.is_wrong_epoch()) return s;  // real error
-          for (const auto& m : muts) invalidate_route(ws.table, m.row);
-          still_pending.insert(still_pending.end(), muts.begin(), muts.end());
-        }
-      }
-      pending = std::move(still_pending);
-      if (pending.empty()) break;
-    }
-
-    // Unlimited retries (§3.2): back off (with jitter, so clients re-flushing
-    // into a recovering region do not wake in lockstep) and try again; the
-    // region will come back online once recovery completes.
-    flush_retries_.fetch_add(1, std::memory_order_relaxed);
-    static Counter& retries = global_counter("kv.flush_retries");
-    retries.add();
-    if (backoff.attempts() > 0 && backoff.attempts() % 200 == 0) {
-      TFR_LOG(WARN, "kvclient") << ws.client_id << " still flushing txn " << ws.commit_ts
-                                << " after " << backoff.attempts() << " retries";
-    }
-    if (!backoff.sleep(cancel)) {
-      return Status::closed("flush cancelled (client died)");
-    }
-  }
-  return Status::ok();
-}
-
 Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
                                  const std::atomic<bool>* cancel,
-                                 std::optional<Timestamp> piggyback_tp, bool recovery_replay) {
+                                 std::optional<Timestamp> piggyback_tp, bool recovery_replay,
+                                 int max_retries) {
   for (const WriteSet& ws : batch) {
     if (!ws.mutations.empty() && ws.commit_ts == kNoTimestamp) {
       return Status::invalid_argument("write-set has no commit timestamp");
@@ -177,7 +99,10 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
       for (const auto& m : pending[i]) {
         auto loc = locate(batch[i].table, m.row);
         if (!loc.is_ok()) {
-          if (loc.status().is_not_found()) return loc.status();  // permanent
+          // Unknown table: a region always covers the full keyspace of an
+          // existing table, so NotFound is permanent — fail instead of
+          // retrying forever.
+          if (loc.status().is_not_found()) return loc.status();
           route_error = loc.status();
           break;
         }
@@ -212,6 +137,11 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
                           : stub->apply_batch(req);
         if (!result.is_ok()) {
           // Transport-level failure: every slice in the frame is retried.
+          // WrongEpoch means the frame hit a fenced (stale) owner;
+          // Unavailable covers a region that moved, split or is mid-
+          // recovery. Either way the cached routes are suspect: drop them so
+          // the retry re-locates through the master, which has already
+          // published the new assignment.
           if (!result.status().is_unavailable() && !result.status().is_wrong_epoch()) {
             return result.status();
           }
@@ -240,6 +170,13 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
       if (!any_retryable) continue;  // progress was clean; re-check for done
     }
 
+    // Unlimited retries by default (§3.2): back off (with jitter, so clients
+    // re-flushing into a recovering region do not wake in lockstep) and try
+    // again; the region comes back online once recovery completes.
+    if (max_retries != 0 && backoff.attempts() >= max_retries) {
+      return Status::unavailable("flush retries exhausted for a batch of " +
+                                 std::to_string(batch.size()) + " write-sets");
+    }
     flush_retries_.fetch_add(1, std::memory_order_relaxed);
     static Counter& retries = global_counter("kv.flush_retries");
     retries.add();

@@ -7,6 +7,7 @@
 #include "src/common/backoff.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
+#include "src/kv/kv_client.h"
 
 namespace tfr {
 
@@ -14,6 +15,12 @@ namespace {
 // Concurrent region recoveries per failed server: enough to overlap several
 // open_region replays without flooding a small cluster's handler pools.
 constexpr std::size_t kRecoveryWorkers = 4;
+// The superseded-edit re-flush runs on a recovery worker, so its retries are
+// bounded: an unreachable cluster (no live server left) must degrade to
+// "segments kept, operator required" rather than park the thread. A 64 us
+// jittered backoff caps at 2 ms, so the budget is ~2000 rounds of ~1 ms.
+constexpr Micros kSupersededReplayBackoff = 64;
+constexpr int kSupersededReplayRetries = 2000;
 }  // namespace
 
 Master::Master(Dfs& dfs, Coord& coord) : dfs_(&dfs), coord_(&coord) {}
@@ -732,62 +739,6 @@ void Master::wait_for_idle() const {
   while (in_flight_recoveries_ != 0) idle_cv_.wait(lock);
 }
 
-bool Master::replay_superseded_edits(const std::string& table,
-                                     const std::vector<WalRecord>& records) {
-  // Mirrors KvClient's routed flush, bounded: this runs on a recovery
-  // worker, and an unreachable cluster (no live server left) must degrade
-  // to "segments kept, operator required" rather than park the thread.
-  constexpr int kMaxAttempts = 2000;  // ~2 s per record at the 1 ms backoff
-  for (const WalRecord& rec : records) {
-    std::vector<Mutation> pending;
-    pending.reserve(rec.cells.size());
-    for (const Cell& c : rec.cells) {
-      pending.push_back(Mutation{c.row, c.column, c.value, c.tombstone});
-    }
-    for (int attempt = 0; !pending.empty(); ++attempt) {
-      if (attempt >= kMaxAttempts) return false;
-      // Route each row against the *current* assignment: the region may
-      // have been re-split, merged or moved since the record was written.
-      std::map<std::string, std::vector<Mutation>> by_server;
-      bool routed = true;
-      for (const auto& m : pending) {
-        auto loc = locate(table, m.row);
-        if (!loc.is_ok()) {
-          routed = false;
-          break;
-        }
-        by_server[loc.value().server_id].push_back(m);
-      }
-      if (routed) {
-        std::vector<Mutation> still_pending;
-        for (auto& [target, muts] : by_server) {
-          RegionServer* stub = server_stub(target);
-          Status s =
-              stub == nullptr ? Status::unavailable("unknown server " + target) : Status::ok();
-          if (s.is_ok()) {
-            ApplyRequest req;
-            req.txn_id = rec.txn_id;
-            req.client_id = rec.client_id;
-            req.commit_ts = rec.commit_ts;
-            req.table = table;
-            req.mutations = muts;
-            req.recovery_replay = true;  // idempotent: the owner may have some already
-            s = stub->apply_writeset(req);
-          }
-          if (!s.is_ok()) {
-            if (!s.is_unavailable() && !s.is_wrong_epoch()) return false;  // permanent
-            still_pending.insert(still_pending.end(), muts.begin(), muts.end());
-          }
-        }
-        pending = std::move(still_pending);
-        if (pending.empty()) break;
-      }
-      sleep_millis(1);
-    }
-  }
-  return true;
-}
-
 void Master::handle_server_down(const std::string& server_id, bool crashed) {
   // Snapshot the affected regions and the hook.
   std::vector<RegionLocation> affected;
@@ -943,10 +894,25 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
           // un-synced bytes), those WALs never got them. Re-flush them
           // through the data path as idempotent recovery replays against
           // whoever ends up owning the rows: each ack lands the record in
-          // a live owner's WAL and memstore, closing the gap.
+          // a live owner's WAL and memstore, closing the gap. Each record
+          // becomes one write-set, routed by row against the *current*
+          // assignment: the region may have been re-split, merged or moved
+          // since the record was written.
           auto eit = edits.find(loc.region_name);
           if (eit != edits.end() && !eit->second.empty()) {
-            if (replay_superseded_edits(loc.descriptor.table, eit->second)) {
+            std::vector<WriteSet> redo;
+            redo.reserve(eit->second.size());
+            for (const WalRecord& rec : eit->second) {
+              WriteSet ws{rec.txn_id, rec.client_id, rec.commit_ts, loc.descriptor.table, {}};
+              for (const Cell& c : rec.cells) {
+                ws.mutations.push_back(Mutation{c.row, c.column, c.value, c.tombstone});
+              }
+              redo.push_back(std::move(ws));
+            }
+            KvClient router(*this, kSupersededReplayBackoff);
+            const Status replayed = router.flush_writesets(
+                redo, nullptr, std::nullopt, /*recovery_replay=*/true, kSupersededReplayRetries);
+            if (replayed.is_ok()) {
               global_counter("master.superseded_edit_replays")
                   .add(static_cast<std::int64_t>(eit->second.size()));
               TFR_LOG(INFO, "master")
@@ -955,8 +921,8 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
             } else {
               TFR_LOG(ERROR, "master")
                   << loc.region_name << ": could not re-flush " << eit->second.size()
-                  << " split-WAL edits after supersession; WAL segments kept, operator "
-                     "intervention required";
+                  << " split-WAL edits after supersession (" << replayed
+                  << "); WAL segments kept, operator intervention required";
             }
           }
           // Keep the dead server's segments either way (skip the purge

@@ -233,12 +233,6 @@ class Master {
   void handle_server_down(const std::string& server_id, bool crashed);
   void janitor_sweep() TFR_REQUIRES(balancer_mutex_);
   std::string pick_live_server_locked(std::size_t salt) const TFR_REQUIRES(mutex_);
-  /// Re-flush one region's split-WAL edits through the data path (routed by
-  /// row, idempotent recovery replays) when its reassignment was superseded
-  /// by a later failure — see the call site for why the edits may be the
-  /// only durable copy. Returns false if any record could not be acked by a
-  /// live owner within the bounded retry budget.
-  bool replay_superseded_edits(const std::string& table, const std::vector<WalRecord>& records);
   /// Advance a region's epoch by one: assignment map + registry + durable
   /// coord-KV record. Returns the new epoch.
   std::uint64_t bump_epoch_locked(const std::string& region_name) TFR_REQUIRES(mutex_);

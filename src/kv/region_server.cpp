@@ -252,58 +252,6 @@ std::shared_ptr<Region> RegionServer::region_for(const std::string& table,
   return nullptr;
 }
 
-Status RegionServer::apply_writeset(const ApplyRequest& request) {
-  TFR_BLOCKING_POINT("rpc.apply");
-  // Marshal the request exactly as a real RPC stack would: the server only
-  // ever sees the decoded wire bytes, and their size is charged against the
-  // network bandwidth on top of the per-RPC latency.
-  std::string wire = encode_apply_request(request);
-  rpc_model_.charge();
-  sleep_micros(transfer_micros(wire.size(), config_.network_mbps));
-  bool drop_response = false;
-  if (fault_ != nullptr) {
-    if (fault_->partitioned(request.client_id, id_)) {
-      // The request direction is blocked: nothing reached the server.
-      return Status::unavailable("partition: request from " + request.client_id + " to " + id_ +
-                                 " lost");
-    }
-    // An asymmetric partition blocking only the response direction behaves
-    // like a dropped ack: the work happens, the client retries.
-    if (fault_->partitioned(id_, request.client_id)) drop_response = true;
-    const FaultAction action = fault_->inject(FaultOp::kRpcApply, id_);
-    if (action.fail) {
-      // The request was lost on the wire; nothing reached the server.
-      return Status::unavailable("injected fault: request to " + id_ + " lost");
-    }
-    if (action.corrupt_wire) wire[wire.size() / 2] ^= 0x20;
-    drop_response = drop_response || action.drop_response;
-  }
-  auto decoded = decode_apply_request(wire);
-  if (!decoded.is_ok()) {
-    // A damaged request frame is a transport failure, not a store error: the
-    // server NAKs and the client retransmits the slice (reapplication is
-    // idempotent), so surface it as retryable.
-    return Status::unavailable("request frame rejected by " + id_ + ": " +
-                               decoded.status().message());
-  }
-  if (!alive()) return Status::unavailable("server down: " + id_);
-  SemaphoreGuard slot(handlers_);
-  if (!alive()) return Status::unavailable("server down: " + id_);
-
-  std::vector<ApplyRequest> frame;
-  frame.push_back(std::move(decoded).value());
-  Status applied = apply_frame(frame).front();
-  if (!applied.is_ok()) return applied;
-
-  if (drop_response) {
-    // The write-set IS received (WAL-appended, applied, observed) but the
-    // ack never reaches the client, which re-sends — exercising idempotent
-    // reapplication (§3.2).
-    return Status::unavailable("injected fault: response from " + id_ + " dropped");
-  }
-  return Status::ok();
-}
-
 Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& batch) {
   static Counter& batch_rpcs = global_counter("kv.batch_apply_rpcs");
   static Counter& batch_slices = global_counter("kv.batch_apply_slices");
@@ -313,17 +261,24 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   const std::string& client_id = batch.slices.front().client_id;
 
   TFR_BLOCKING_POINT("rpc.apply_batch");
+  // Marshal the request exactly as a real RPC stack would: the server only
+  // ever sees the decoded wire bytes, and their size is charged against the
+  // network bandwidth on top of the per-RPC latency.
   std::string wire = encode_batch_apply_request(batch);
   rpc_model_.charge();
   sleep_micros(transfer_micros(wire.size(), config_.network_mbps));
   bool drop_response = false;
   if (fault_ != nullptr) {
     if (fault_->partitioned(client_id, id_)) {
+      // The request direction is blocked: nothing reached the server.
       return Status::unavailable("partition: request from " + client_id + " to " + id_ + " lost");
     }
+    // An asymmetric partition blocking only the response direction behaves
+    // like a dropped ack: the work happens, the client retries.
     if (fault_->partitioned(id_, client_id)) drop_response = true;
     const FaultAction action = fault_->inject(FaultOp::kRpcApply, id_);
     if (action.fail) {
+      // The request was lost on the wire; nothing reached the server.
       return Status::unavailable("injected fault: request to " + id_ + " lost");
     }
     if (action.corrupt_wire) wire[wire.size() / 2] ^= 0x20;
@@ -331,8 +286,9 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   }
   auto decoded = decode_batch_apply_request(wire);
   if (!decoded.is_ok()) {
-    // Same contract as the single-slice path: a damaged frame is NAKed as
-    // retryable and the client re-sends the whole batch (idempotent).
+    // A damaged request frame is a transport failure, not a store error: the
+    // server NAKs and the client re-sends the whole batch (reapplication is
+    // idempotent), so surface it as retryable.
     return Status::unavailable("batch frame rejected by " + id_ + ": " +
                                decoded.status().message());
   }
@@ -345,7 +301,9 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   batch_slices.add(static_cast<std::int64_t>(decoded.value().slices.size()));
   std::vector<Status> statuses = apply_frame(decoded.value().slices);
   if (drop_response) {
-    // Everything above happened, but the per-slice acks never arrive.
+    // Every slice IS received (WAL-appended, applied, observed) but the acks
+    // never reach the client, which re-sends — exercising idempotent
+    // reapplication (§3.2).
     return Status::unavailable("injected fault: response from " + id_ + " dropped");
   }
   return statuses;

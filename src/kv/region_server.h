@@ -102,8 +102,8 @@ struct ApplyRequest {
   bool recovery_replay = false;
 };
 
-/// Several write-set slices from one client to one server, shipped as a
-/// single RPC (the pipelined flush path — cf. HBase's multi-put). All
+/// Write-set slices from one sender to one server, shipped as a single RPC
+/// (cf. HBase's multi-put) — every apply travels in one, even a lone slice. All
 /// slices share the sender, so network faults and partitions are evaluated
 /// once for the whole frame, while each slice keeps its own per-slice
 /// outcome (a region move can make one slice retryable without failing the
@@ -140,18 +140,15 @@ class RegionServer {
 
   // --- RPC surface ---------------------------------------------------------
 
-  /// Receive a write-set slice (Algorithm 3 "On receive"): append to the WAL
-  /// (possibly syncing, per mode), apply to the memstores of the covered
-  /// regions, notify the write-set observer, and return.
-  TFR_BLOCKING Status apply_writeset(const ApplyRequest& req);
-
-  /// Receive a batch of write-set slices in one RPC: one network round-trip
-  /// and one handler slot for the whole frame, each slice WAL-appended and
-  /// applied as in apply_writeset, and one observer call for the frame
-  /// (see WritesetObserver). Returns one Status per slice (same order); a
-  /// transport-level error (partition, injected loss, frame corruption,
-  /// dropped ack) fails the whole batch as Unavailable and the client
-  /// re-sends — reapplication is idempotent.
+  /// Receive write-set slices in one RPC (Algorithm 3 "On receive") — the
+  /// only apply RPC: one network round-trip and one handler slot for the
+  /// whole frame; each slice is WAL-appended (possibly syncing, per mode)
+  /// and applied to the memstores of its regions, and the write-set
+  /// observer is notified once for the frame (see WritesetObserver).
+  /// Returns one Status per slice (same order); a transport-level error
+  /// (partition, injected loss, frame corruption, dropped ack) fails the
+  /// whole batch as Unavailable and the client re-sends — reapplication is
+  /// idempotent.
   TFR_BLOCKING Result<std::vector<Status>> apply_batch(const BatchApplyRequest& batch);
 
   /// `caller` (when non-empty) is the requesting node's id, matched against
@@ -213,7 +210,7 @@ class RegionServer {
 
   // --- recovery extension points -------------------------------------------
 
-  /// Called once per apply frame (one apply_writeset or apply_batch RPC),
+  /// Called once per apply frame (one apply_batch RPC),
   /// after every slice of it is WAL-appended and before any is acked, with
   /// the commit timestamps of the accepted slices and the lowest TP(s)
   /// piggybacked on them. Not called for a frame with no accepted slice.
@@ -244,7 +241,7 @@ class RegionServer {
   };
   std::vector<RegionLoad> region_loads() const;
 
-  /// Install a fault injector (see common/fault.h): apply_writeset / get /
+  /// Install a fault injector (see common/fault.h): apply_batch / get /
   /// scan then consult it per RPC, matched against this server's id —
   /// transient request loss, dropped acks, wire bit-flips and added latency.
   /// Pass nullptr to detach. Not synchronized with in-flight RPCs: install
@@ -277,11 +274,11 @@ class RegionServer {
   }
 
  private:
-  /// The post-transport core of apply_writeset and apply_batch: apply every
-  /// slice, then notify the write-set observer once for the whole frame.
-  /// Caller has decoded the frame, checked liveness, and holds a handler
-  /// slot. Returns one Status per slice; every slice is Unavailable if the
-  /// server died under the frame.
+  /// The post-transport core of apply_batch: apply every slice, then notify
+  /// the write-set observer once for the whole frame. Caller has decoded the
+  /// frame, checked liveness, and holds a handler slot. Returns one Status
+  /// per slice; every slice is Unavailable if the server died under the
+  /// frame.
   std::vector<Status> apply_frame(const std::vector<ApplyRequest>& slices);
   /// One slice: WAL-append and apply to the memstores of its regions.
   Status apply_slice(const ApplyRequest& req);

@@ -105,7 +105,7 @@ void TxnLog::appender_loop(Lane& lane) {
       MutexLock lock(mutex_);
       while (lane.queue.empty() && !stop_) lane.work_cv.wait(lock);
       if (stop_) return;
-      if (config_.adaptive && lane.queue.size() < config_.max_batch &&
+      if (lane.queue.size() < config_.max_batch &&
           static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
         // The queue at wake is shallower than the recent batch size: more
         // appenders are likely mid-flight, so hold the sync briefly to let

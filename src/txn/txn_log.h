@@ -63,11 +63,8 @@ struct TxnLogConfig {
   /// the recent batch size, it holds the stable-storage write for a short
   /// accumulation window — bounded by half the observed sync latency and by
   /// `max_group_wait` — so stragglers join the batch instead of paying a sync
-  /// of their own. With `adaptive = false` every wake syncs immediately (the
-  /// legacy fixed-batch behaviour, kept flag-selectable for the bench A/B).
-  /// Batch sizes and sync waits are exported as the `log.batch_size` /
-  /// `log.sync_wait` global histograms either way.
-  bool adaptive = true;
+  /// of their own. Batch sizes and sync waits are exported as the
+  /// `log.batch_size` / `log.sync_wait` global histograms.
   Micros max_group_wait = millis(2);  ///< hard cap on the accumulation window
 
   /// Records per lane segment before the active segment seals. Small enough

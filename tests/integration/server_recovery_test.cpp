@@ -307,6 +307,57 @@ TEST_F(ServerRecoveryTest, ReplayedWritesSurviveTargetCrashRightAfterItsGate) {
   verify_rows(0, kRows);
 }
 
+TEST_F(ServerRecoveryTest, SupersededReassignmentReFlushesSplitWalEdits) {
+  // §8 superseded-edit rule: the victim's split-WAL edits for a region are
+  // re-flushed through the routed write path when a later failure takes the
+  // region's reassignment away from the first recovery. Here the region's
+  // first new host dies inside its gate, and the gate returns only once the
+  // master has fenced the region again: the first handler's open then fails,
+  // and its retry finds the later epoch and takes the superseded branch.
+  constexpr int kRows = 20;  // every row lies in the table's first region
+  const int victim = host_of(Testbed::row_key(0));
+  const std::string region = bed_.master().locate("t", Testbed::row_key(0)).value().region_name;
+  auto tss = commit_rows(0, kRows);
+  ASSERT_TRUE(bed_.client().wait_flushed());
+  RegionServer& victim_server = bed_.cluster().server(victim);
+  ASSERT_TRUE(victim_server.persist_wal().is_ok());
+  auto records = Wal::read_records(bed_.cluster().dfs(), victim_server.wal_path());
+  ASSERT_TRUE(records.is_ok()) << records.status();
+  std::int64_t region_records = 0;
+  for (const WalRecord& rec : records.value()) region_records += rec.region == region ? 1 : 0;
+  ASSERT_GT(region_records, 0);
+
+  // Shared ownership: a gate can still fire after an early test exit.
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  for (int i = 0; i < bed_.cluster().num_servers(); ++i) {
+    bed_.cluster().server(i).set_region_gate(
+        [this, i, region, fired](const std::string& name, const std::string& server_id) {
+          if (name != region || fired->exchange(true)) {
+            bed_.rm().on_region_recovered(name, server_id);
+            return;
+          }
+          const std::uint64_t opened_at = bed_.master().region_epoch(name);
+          bed_.crash_server(i);
+          const Micros deadline = now_micros() + seconds(10);
+          while (bed_.master().region_epoch(name) <= opened_at && now_micros() < deadline) {
+            sleep_millis(1);
+          }
+        });
+  }
+  Counter& replays = global_counter("master.superseded_edit_replays");
+  const std::int64_t replays_before = replays.get();
+
+  bed_.crash_server(victim);
+  ASSERT_TRUE(bed_.wait_server_recoveries(2));
+  bed_.wait_for_recovery();
+  ASSERT_TRUE(fired->load());
+  EXPECT_EQ(replays.get() - replays_before, region_records);
+
+  ASSERT_TRUE(bed_.client().wait_flushed());
+  ASSERT_TRUE(bed_.wait_stable(tss.back()));
+  verify_rows(0, kRows);
+}
+
 TEST(InFlightApplyTest, CrashUnderAnInFlightFlushIsRetriedNotDropped) {
   // The crash closes the WAL segment under an apply that has passed the
   // server's liveness check. The flusher must retry the write-set into the

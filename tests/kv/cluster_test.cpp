@@ -65,7 +65,7 @@ TEST(ClusterTest, KvClientWritesAndReadsThroughRouting) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
   EXPECT_EQ(client.get("t", "apple", "c", 10).value()->value, "v5");
   EXPECT_EQ(client.get("t", "zebra", "c", 10).value()->value, "v5");
 }
@@ -75,7 +75,7 @@ TEST(ClusterTest, FailoverReassignsRegionsAndRecoversSyncedData) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
   // Sync both WALs so the data survives in the DFS.
   ASSERT_TRUE(cluster.server(0).persist_wal().is_ok());
   ASSERT_TRUE(cluster.server(1).persist_wal().is_ok());
@@ -106,7 +106,7 @@ TEST(ClusterTest, UnsyncedDataIsLostWithoutTransactionalRecovery) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple"})}).is_ok());
 
   const auto victim = cluster.master().locate("t", "apple").value().server_id;
   const int victim_idx = victim == "rs1" ? 0 : 1;
@@ -137,7 +137,7 @@ TEST(ClusterTest, CleanShutdownReassignsWithoutDataLoss) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
 
   // Clean shutdown flushes memstores; no WAL sync needed beforehand.
   ASSERT_TRUE(cluster.server(0).shutdown().is_ok());

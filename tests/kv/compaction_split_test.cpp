@@ -146,7 +146,7 @@ TEST(RegionSplitTest, SplitPreservesDataAndRouting) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   ASSERT_TRUE(cluster.master().split_region("t,").is_ok());
   auto regions = cluster.master().table_regions("t");
@@ -163,7 +163,7 @@ TEST(RegionSplitTest, SplitPreservesDataAndRouting) {
   }
 
   // Writes to both halves work.
-  ASSERT_TRUE(client.flush_writeset(rows_ws(2, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(2, 0, 100)}).is_ok());
   EXPECT_EQ(client.get("t", "row00000", "c", 100).value()->value, "v0");
 }
 
@@ -179,7 +179,7 @@ TEST(RegionSplitTest, SplitChildrenSurviveCrash) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
   ASSERT_TRUE(cluster.master().split_region("t,").is_ok());
 
   // Crash whichever server hosts the children (the split flushed both
@@ -206,7 +206,7 @@ TEST(RegionMoveTest, MovePreservesDataAndUpdatesRouting) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 50)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 50)}).is_ok());
 
   const auto before = cluster.master().table_regions("t").front();
   const std::string target = before.server_id == "rs1" ? "rs2" : "rs1";
@@ -222,7 +222,7 @@ TEST(RebalanceTest, SpreadsRegionsAfterScaleOut) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"d", "h", "m", "r"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 50)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 50)}).is_ok());
 
   // All 5 regions sit on rs1; add a server and rebalance.
   ASSERT_TRUE(cluster.add_server().is_ok());
@@ -251,8 +251,8 @@ TEST(AutoCompactionTest, ServerCompactsWhenFilesPileUp) {
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
   for (Timestamp ts = 1; ts <= 30; ++ts) {
-    ASSERT_TRUE(client.flush_writeset(rows_ws(ts, static_cast<int>(ts) * 3,
-                                              static_cast<int>(ts) * 3 + 3))
+    ASSERT_TRUE(client.flush_writesets({rows_ws(ts, static_cast<int>(ts) * 3,
+                                              static_cast<int>(ts) * 3 + 3)})
                     .is_ok());
   }
   auto region = cluster.server(0).region("t,");

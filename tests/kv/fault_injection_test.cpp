@@ -45,7 +45,7 @@ class FaultInjectionTest : public ::testing::Test {
 
   void flush_rows(int n) {
     for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(client_.flush_writeset(make_ws(i + 1, {row_of(i)})).is_ok()) << i;
+      ASSERT_TRUE(client_.flush_writesets({make_ws(i + 1, {row_of(i)})}).is_ok()) << i;
     }
   }
 
@@ -123,7 +123,7 @@ TEST_F(FaultInjectionTest, SlowWalSyncIsDelayedButSucceeds) {
 }
 
 TEST_F(FaultInjectionTest, DfsReadFaultSurfacesAsRetryableUnavailable) {
-  ASSERT_TRUE(client_.flush_writeset(make_ws(5, {"apple"})).is_ok());
+  ASSERT_TRUE(client_.flush_writesets({make_ws(5, {"apple"})}).is_ok());
   const auto loc = cluster_.master().locate("t", "apple").value();
   auto region = cluster_.server(0).region(loc.region_name);
   ASSERT_NE(region, nullptr);
@@ -148,7 +148,7 @@ TEST_F(FaultInjectionTest, StoreFileBitFlipSurfacesAsChecksumErrorThroughServer)
   // Satellite: real (persistent) corruption must NOT look transient. Flip a
   // bit in a store file behind the region server's back and read through the
   // full client -> server -> region -> DFS path.
-  ASSERT_TRUE(client_.flush_writeset(make_ws(5, {"apple"})).is_ok());
+  ASSERT_TRUE(client_.flush_writesets({make_ws(5, {"apple"})}).is_ok());
   const auto loc = cluster_.master().locate("t", "apple").value();
   auto region = cluster_.server(0).region(loc.region_name);
   ASSERT_NE(region, nullptr);

@@ -161,7 +161,7 @@ TEST(SelfFenceTest, ServerPartitionedFromCoordStopsServingWithinTtl) {
   cluster.master().wait_for_idle();
   KvClient client(cluster.master(), millis(1));
   client.set_client_id("c1");
-  EXPECT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  EXPECT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
   cluster.fault().clear_partitions();
 }
 
@@ -191,7 +191,7 @@ TEST(MasterFencingTest, FailoverBumpsTheEpochBeforeReassignment) {
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
   client.set_client_id("c1");
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
   ASSERT_TRUE(cluster.server(0).persist_wal().is_ok());
   ASSERT_TRUE(cluster.server(1).persist_wal().is_ok());
 
@@ -231,7 +231,7 @@ TEST(MasterFencingTest, DuplicateFailureDeliveryDoesNotSplitTwice) {
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
   client.set_client_id("c1");
-  ASSERT_TRUE(client.flush_writeset(make_ws(5, {"apple", "zebra"})).is_ok());
+  ASSERT_TRUE(client.flush_writesets({make_ws(5, {"apple", "zebra"})}).is_ok());
   ASSERT_TRUE(cluster.server(0).persist_wal().is_ok());
   ASSERT_TRUE(cluster.server(1).persist_wal().is_ok());
 

@@ -1,5 +1,5 @@
 // KvClient mechanics: the unlimited-retry flush protocol, cancellation, and
-// bounded-retry reads.
+// bounded-retry flushes and reads.
 #include "src/kv/kv_client.h"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ TEST(KvClientTest, EmptyWritesetIsNoop) {
   Cluster cluster(tiny_cluster(1));
   ASSERT_TRUE(cluster.start().is_ok());
   KvClient client(cluster.master(), millis(1));
-  EXPECT_TRUE(client.flush_writeset(WriteSet{}).is_ok());
+  EXPECT_TRUE(client.flush_writesets({WriteSet{}}).is_ok());
   EXPECT_EQ(client.stats().flush_rpcs, 0);
 }
 
@@ -43,7 +43,7 @@ TEST(KvClientTest, MissingCommitTimestampRejected) {
   ASSERT_TRUE(cluster.start().is_ok());
   KvClient client(cluster.master(), millis(1));
   WriteSet ws = ws_of(kNoTimestamp, {"r"});
-  EXPECT_EQ(client.flush_writeset(ws).code(), Code::kInvalidArgument);
+  EXPECT_EQ(client.flush_writesets({ws}).code(), Code::kInvalidArgument);
 }
 
 TEST(KvClientTest, UnknownTableFailsFastInsteadOfRetrying) {
@@ -51,7 +51,7 @@ TEST(KvClientTest, UnknownTableFailsFastInsteadOfRetrying) {
   ASSERT_TRUE(cluster.start().is_ok());
   KvClient client(cluster.master(), millis(1));
   const Micros start = now_micros();
-  EXPECT_TRUE(client.flush_writeset(ws_of(1, {"row"})).is_not_found());
+  EXPECT_TRUE(client.flush_writesets({ws_of(1, {"row"})}).is_not_found());
   EXPECT_LT(now_micros() - start, millis(200)) << "must not enter the retry loop";
 }
 
@@ -65,13 +65,26 @@ TEST(KvClientTest, CancelFlagAbortsBlockedFlush) {
   std::atomic<bool> cancel{false};
   Status result = Status::ok();
   std::thread flusher([&] {
-    result = client.flush_writeset(ws_of(1, {"row"}), &cancel);
+    result = client.flush_writesets({ws_of(1, {"row"})}, &cancel);
   });
   sleep_millis(30);
   EXPECT_GT(client.stats().flush_retries, 0);
   cancel = true;
   flusher.join();
   EXPECT_EQ(result.code(), Code::kClosed);
+}
+
+TEST(KvClientTest, FlushWithBoundedRetriesGivesUp) {
+  Cluster cluster(tiny_cluster(1));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
+  cluster.crash_server(0);  // the only server: its region is never re-homed
+  KvClient client(cluster.master(), millis(1));
+  Status result = client.flush_writesets({ws_of(1, {"row"})}, nullptr, std::nullopt,
+                                         /*recovery_replay=*/false, /*max_retries=*/3);
+  EXPECT_TRUE(result.is_unavailable()) << result;
+  EXPECT_EQ(client.stats().flush_retries, 3);
+  EXPECT_EQ(client.stats().flush_rpcs, 4) << "the first round plus three retries";
 }
 
 TEST(KvClientTest, GetWithBoundedRetriesGivesUp) {
@@ -90,8 +103,8 @@ TEST(KvClientTest, FlushSpansMultipleServers) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(ws_of(5, {"apple", "zebra"})).is_ok());
-  EXPECT_EQ(client.stats().flush_rpcs, 2) << "one ApplyRequest per participant server";
+  ASSERT_TRUE(client.flush_writesets({ws_of(5, {"apple", "zebra"})}).is_ok());
+  EXPECT_EQ(client.stats().flush_rpcs, 2) << "one apply frame per participant server";
 }
 
 TEST(KvClientTest, FlushRecoversWhenRegionComesBack) {
@@ -105,7 +118,7 @@ TEST(KvClientTest, FlushRecoversWhenRegionComesBack) {
   // Flush while the region is migrating: it must block, then complete.
   std::atomic<bool> done{false};
   std::thread flusher([&] {
-    ASSERT_TRUE(client.flush_writeset(ws_of(7, {"apple", "zebra"})).is_ok());
+    ASSERT_TRUE(client.flush_writesets({ws_of(7, {"apple", "zebra"})}).is_ok());
     done = true;
   });
   const Micros deadline = now_micros() + seconds(10);

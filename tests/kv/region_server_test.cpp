@@ -29,6 +29,15 @@ ApplyRequest make_request(Timestamp ts, std::vector<std::string> rows,
   return req;
 }
 
+// Send one slice as a one-slice apply frame: the frame's transport status
+// if it failed as a whole, else the slice's own status.
+Status apply_one(RegionServer& server, ApplyRequest req) {
+  BatchApplyRequest frame;
+  frame.slices.push_back(std::move(req));
+  auto statuses = server.apply_batch(frame);
+  return statuses.is_ok() ? statuses.value().front() : statuses.status();
+}
+
 class RegionServerTest : public ::testing::Test {
  protected:
   RegionServerTest()
@@ -45,14 +54,14 @@ class RegionServerTest : public ::testing::Test {
 };
 
 TEST_F(RegionServerTest, ApplyThenRead) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1", "r2"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1", "r2"})).is_ok());
   auto cell = server_.get("t", "r1", "c", 10);
   ASSERT_TRUE(cell.is_ok());
   EXPECT_EQ(cell.value()->value, "v5");
 }
 
 TEST_F(RegionServerTest, ApplyAppendsToWal) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_ok());
   EXPECT_EQ(server_.wal().appended_seq(), 1u);
   EXPECT_EQ(server_.wal().synced_seq(), 0u);  // async mode: not yet durable
   ASSERT_TRUE(server_.persist_wal().is_ok());
@@ -66,13 +75,13 @@ TEST_F(RegionServerTest, SyncWalOnWriteModePersistsImmediately) {
   ASSERT_TRUE(sync_server.start().is_ok());
   ASSERT_TRUE(sync_server.open_region(RegionDescriptor{"t2", "", ""}, {}).is_ok());
   auto req = make_request(5, {"r1"}, "t2");
-  ASSERT_TRUE(sync_server.apply_writeset(req).is_ok());
+  ASSERT_TRUE(apply_one(sync_server, req).is_ok());
   EXPECT_EQ(sync_server.wal().synced_seq(), 1u);
   ASSERT_TRUE(sync_server.shutdown().is_ok());
 }
 
 TEST_F(RegionServerTest, RowNotHostedIsUnavailable) {
-  auto status = server_.apply_writeset(make_request(5, {"r1"}, "unknown_table"));
+  auto status = apply_one(server_, make_request(5, {"r1"}, "unknown_table"));
   EXPECT_TRUE(status.is_unavailable());
   EXPECT_TRUE(server_.get("unknown_table", "r", "c", 10).status().is_unavailable());
 }
@@ -82,29 +91,29 @@ TEST_F(RegionServerTest, GatedRegionRejectsNormalTrafficButAdmitsReplay) {
   ASSERT_NE(region, nullptr);
   region->set_state(RegionState::kGated);
 
-  EXPECT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_unavailable());
+  EXPECT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_unavailable());
   EXPECT_TRUE(server_.get("t", "r1", "c", 10).status().is_unavailable());
 
   auto replay = make_request(5, {"r1"});
   replay.recovery_replay = true;
-  EXPECT_TRUE(server_.apply_writeset(replay).is_ok());
+  EXPECT_TRUE(apply_one(server_, replay).is_ok());
 
   region->set_state(RegionState::kOnline);
   EXPECT_EQ(server_.get("t", "r1", "c", 10).value()->value, "v5");
 }
 
 TEST_F(RegionServerTest, CrashLosesMemstoreAndUnsyncedWal) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_ok());
   server_.crash();
   EXPECT_FALSE(server_.alive());
-  EXPECT_TRUE(server_.apply_writeset(make_request(6, {"r2"})).is_unavailable());
+  EXPECT_TRUE(apply_one(server_, make_request(6, {"r2"})).is_unavailable());
   EXPECT_TRUE(server_.get("t", "r1", "c", 10).status().is_unavailable());
   // The WAL on the DFS lost the unsynced record.
   EXPECT_TRUE(Wal::read_records(dfs_, server_.wal_path()).value().empty());
 }
 
 TEST_F(RegionServerTest, CleanShutdownFlushesAndUnregisters) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_ok());
   ASSERT_TRUE(server_.shutdown().is_ok());
   // Session closed cleanly.
   EXPECT_FALSE(coord_.session("servers", "rs1").has_value());
@@ -150,7 +159,7 @@ TEST_F(RegionServerTest, WritesetObserverSeesCommitTsAndPiggyback) {
   auto req = make_request(9, {"r1"});
   req.piggyback_tp = 4;
   req.recovery_replay = true;
-  ASSERT_TRUE(server_.apply_writeset(req).is_ok());
+  ASSERT_TRUE(apply_one(server_, req).is_ok());
   ASSERT_EQ(seen_ts.size(), 1u);
   EXPECT_EQ(seen_ts[0], std::vector<Timestamp>{9});
   EXPECT_EQ(seen_piggyback[0], std::optional<Timestamp>(4));
@@ -198,7 +207,7 @@ TEST_F(RegionServerTest, CrashUnderAnApplyIsRetryableNotFatal) {
   ASSERT_TRUE(slow.start().is_ok());
   ASSERT_TRUE(slow.open_region(RegionDescriptor{"t5", "", ""}, {}).is_ok());
   Status single;
-  std::thread apply([&] { single = slow.apply_writeset(make_request(5, {"r1"}, "t5")); });
+  std::thread apply([&] { single = apply_one(slow, make_request(5, {"r1"}, "t5")); });
   sleep_millis(50);
   slow.crash();
   apply.join();
@@ -230,7 +239,7 @@ TEST_F(RegionServerTest, MultiRegionApplyIsGroupedByRegion) {
   ASSERT_TRUE(server_.close_region("t,").is_ok());
   ASSERT_TRUE(server_.open_region(RegionDescriptor{"t", "", "m"}, {}).is_ok());
   ASSERT_TRUE(server_.open_region(RegionDescriptor{"t", "m", ""}, {}).is_ok());
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"a", "z"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"a", "z"})).is_ok());
   // One WAL record per region touched.
   ASSERT_TRUE(server_.persist_wal().is_ok());
   auto grouped = Wal::split(dfs_, server_.wal_path()).value();
@@ -246,7 +255,7 @@ TEST_F(RegionServerTest, MemstoreFlushTriggeredBySize) {
   ASSERT_TRUE(small.start().is_ok());
   ASSERT_TRUE(small.open_region(RegionDescriptor{"t4", "", ""}, {}).is_ok());
   for (Timestamp ts = 1; ts <= 10; ++ts) {
-    ASSERT_TRUE(small.apply_writeset(make_request(ts, {"row" + std::to_string(ts)}, "t4"))
+    ASSERT_TRUE(apply_one(small, make_request(ts, {"row" + std::to_string(ts)}, "t4"))
                     .is_ok());
   }
   EXPECT_GE(small.region("t4,")->store_file_count(), 1u);
@@ -255,9 +264,9 @@ TEST_F(RegionServerTest, MemstoreFlushTriggeredBySize) {
 }
 
 TEST_F(RegionServerTest, ScanAcrossMemstoreAndFiles) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"a", "b", "d"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"a", "b", "d"})).is_ok());
   ASSERT_TRUE(server_.region("t,")->flush_memstore().is_ok());
-  ASSERT_TRUE(server_.apply_writeset(make_request(6, {"c"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(6, {"c"})).is_ok());
   auto cells = server_.scan("t", "a", "e", 10, 0).value();
   ASSERT_EQ(cells.size(), 4u);
   EXPECT_EQ(cells[2].row, "c");
@@ -269,7 +278,7 @@ TEST_F(RegionServerTest, ScanAcrossMemstoreAndFiles) {
 // and retry the same frontier on the next tick (a transient DFS error is a
 // durability regression, not a reason to die).
 TEST_F(RegionServerTest, BackgroundWalSyncFailureIsCountedAndRetried) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_ok());
   ASSERT_EQ(server_.wal().synced_seq(), 0u);  // async mode: nothing durable yet
 
   FaultInjector fault;
@@ -299,7 +308,7 @@ TEST_F(RegionServerTest, BackgroundWalSyncFailureIsCountedAndRetried) {
 // the server must converge to not-alive instead of acking writes that can
 // never become durable.
 TEST_F(RegionServerTest, BackgroundWalSyncFencedStopsService) {
-  ASSERT_TRUE(server_.apply_writeset(make_request(5, {"r1"})).is_ok());
+  ASSERT_TRUE(apply_one(server_, make_request(5, {"r1"})).is_ok());
   dfs_.fence_prefix("/wal/rs1.log");
 
   const std::int64_t before = global_counter("kv.wal_sync_failures").get();

@@ -98,7 +98,11 @@ TEST(RpcMessagesTest, BandwidthChargeSlowsBigWritesets) {
   }
   // ~100 KB at 10 Mbps ~ 80 ms of transfer time.
   const Micros start = now_micros();
-  ASSERT_TRUE(server.apply_writeset(req).is_ok());
+  BatchApplyRequest frame;
+  frame.slices.push_back(req);
+  auto statuses = server.apply_batch(frame);
+  ASSERT_TRUE(statuses.is_ok());
+  ASSERT_TRUE(statuses.value().front().is_ok());
   EXPECT_GE(now_micros() - start, millis(60));
   ASSERT_TRUE(server.shutdown().is_ok());
 }

@@ -128,7 +128,7 @@ TEST(TopologyClusterTest, SplitInheritsFilesByReference) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   const std::string parent = cluster.master().table_regions("t").front().region_name;
   ASSERT_TRUE(cluster.master().split_region(parent).is_ok());
@@ -160,7 +160,7 @@ TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   const std::string parent = cluster.master().table_regions("t").front().region_name;
   ASSERT_TRUE(cluster.master().split_region(parent).is_ok());
@@ -198,7 +198,7 @@ TEST(TopologyClusterTest, MergeAdjacentRegions) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"row00050"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   auto regions = cluster.master().table_regions("t");
   ASSERT_EQ(regions.size(), 2u);
@@ -219,7 +219,7 @@ TEST(TopologyClusterTest, MergeAdjacentRegions) {
     EXPECT_EQ(client.get("t", row, "c", 100).value()->value, "v" + std::to_string(i));
   }
   // Writes land in the merged region.
-  ASSERT_TRUE(client.flush_writeset(rows_ws(2, 0, 10)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(2, 0, 10)}).is_ok());
 }
 
 TEST(TopologyClusterTest, MergeRefusesNonAdjacentRegions) {
@@ -246,7 +246,7 @@ TEST(TopologyClusterTest, BalancerSplitsOversizedRegionAndCountsIt) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 200)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 200)}).is_ok());
 
   BalancerConfig cfg;        // manual ticks only (interval == 0)
   cfg.split_store_bytes = 1; // any flushed region is "oversized"
@@ -263,7 +263,7 @@ TEST(TopologyClusterTest, BalancerMergesColdAdjacentPair) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {"row00050"}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   BalancerConfig cfg;
   cfg.merge_traffic_ops = 1u << 20;  // everything is "cold"
@@ -283,7 +283,7 @@ TEST(RoutingCacheTest, CachesRoutesAndInvalidatesAcrossSplit) {
   ASSERT_TRUE(cluster.start().is_ok());
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   KvClient client(cluster.master(), millis(1));
-  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 100)}).is_ok());
 
   // Repeated reads of one row: one miss, then cache hits.
   for (int i = 0; i < 5; ++i) {

@@ -202,7 +202,11 @@ TEST(WalRollTest, RegionServerRollsAndReclaimsAfterMemstoreFlush) {
     req.table = "t";
     req.mutations.push_back(Mutation{"row" + std::to_string(ts), "c",
                                      std::string(128, 'x'), false});
-    ASSERT_TRUE(server.apply_writeset(req).is_ok());
+    BatchApplyRequest frame;
+    frame.slices.push_back(std::move(req));
+    auto statuses = server.apply_batch(frame);
+    ASSERT_TRUE(statuses.is_ok());
+    ASSERT_TRUE(statuses.value().front().is_ok());
   };
 
   for (Timestamp ts = 1; ts <= 20; ++ts) {

@@ -35,7 +35,10 @@ class PersistTrackerTest : public ::testing::Test {
     req.mutations.push_back(Mutation{"row" + std::to_string(ts), "c", "v", false});
     req.piggyback_tp = piggyback;
     req.recovery_replay = piggyback.has_value();
-    return server_.apply_writeset(req);
+    BatchApplyRequest frame;
+    frame.slices.push_back(std::move(req));
+    auto statuses = server_.apply_batch(frame);
+    return statuses.is_ok() ? statuses.value().front() : statuses.status();
   }
 
   Dfs dfs_;

@@ -155,7 +155,6 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   TxnLogConfig cfg;
   cfg.sync_latency = millis(4);
   cfg.sync_jitter = 0;
-  cfg.adaptive = true;
   cfg.max_group_wait = millis(2);
   reset_global_histograms();
   TxnLog log(cfg);
@@ -180,7 +179,7 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   // scheduling slack, far below appends x sync (192 ms here).
   EXPECT_LT(elapsed,
             stats.batches * (cfg.sync_latency + cfg.max_group_wait) + millis(40));
-  // The adaptive path feeds the shared histograms: one batch-size sample per
+  // Group commit feeds the shared histograms: one batch-size sample per
   // batch.
   for (const auto& [name, hist] : global_histogram_snapshot()) {
     if (name == "log.batch_size") {
@@ -194,7 +193,6 @@ TEST(TxnLogTest, RecoveryScanOrderSurvivesBatchBoundaries) {
   // concurrent appends were grouped into batches.
   TxnLogConfig cfg;
   cfg.sync_latency = millis(2);
-  cfg.adaptive = true;
   TxnLog log(cfg);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 6;
@@ -217,28 +215,6 @@ TEST(TxnLogTest, RecoveryScanOrderSurvivesBatchBoundaries) {
     EXPECT_LT(fetched[i - 1].commit_ts, fetched[i].commit_ts)
         << "recovery scan out of commit order at index " << i;
   }
-}
-
-TEST(TxnLogTest, NonAdaptiveModeNeverHoldsTheSync) {
-  TxnLogConfig cfg;
-  cfg.sync_latency = millis(1);
-  cfg.adaptive = false;
-  TxnLog log(cfg);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(log.append(make_ws(t * 3 + i + 1)).is_ok());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto stats = log.stats();
-  EXPECT_EQ(stats.appends, 24);
-  // Legacy behaviour: wake -> sync immediately; the accumulation window is
-  // never entered (opportunistic batching of already-queued work still
-  // happens).
-  EXPECT_EQ(stats.group_waits, 0);
 }
 
 TEST(TxnLogTest, FetchAfterTruncateNeverReturnsTruncatedRecord) {
