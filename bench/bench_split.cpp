@@ -74,8 +74,7 @@ int main() {
   cfg.balancer.split_store_bytes = 6 * 1024;
   cfg.balancer.move_load_ratio = 2.0;
   cfg.balancer.move_min_ops = 16;
-  cfg.balancer.max_actions_per_tick = 2;
-  cfg.balancer.balance_region_counts = true;  // merges stay off (thresholds 0)
+  cfg.balancer.max_actions_per_tick = 2;  // merges stay off (thresholds 0)
 
   Cluster cluster(cfg);
   if (!cluster.start().is_ok() || !cluster.master().create_table("t", {}).is_ok()) {

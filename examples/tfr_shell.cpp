@@ -17,7 +17,8 @@
 //   crash-client                         crash the shell's own client
 //   add-server                           elastic scale-out
 //   split <region-name>                  split a region
-//   rebalance                            even out region placement
+//   rebalance                            run balancer ticks until one takes
+//                                        no action (evens out region counts)
 //   wait-recovery                        block until failure handling done
 //   help / quit
 #include <cstdio>
@@ -155,12 +156,9 @@ int main() {
       in >> region;
       std::printf("%s\n", bed.master().split_region(region).to_string().c_str());
     } else if (cmd == "rebalance") {
-      auto moved = bed.master().rebalance();
-      if (moved.is_ok()) {
-        std::printf("moved %d regions\n", moved.value());
-      } else {
-        std::printf("%s\n", moved.status().to_string().c_str());
-      }
+      int actions = 0;
+      for (int n; (n = bed.master().balance_once()) > 0;) actions += n;
+      std::printf("balancer took %d actions\n", actions);
     } else if (cmd == "wait-recovery") {
       bed.wait_for_recovery();
       std::printf("recovery idle\n");

@@ -138,9 +138,9 @@ case "$MODE" in
   bench-smoke)
     # Quick end-to-end exercise of the hot-path benches: a few seconds each
     # at a tiny TFR_BENCH_SCALE, checking only that they run and the JSON
-    # lands. bench_commit has one arm (the pipelined commit path);
-    # bench_read is still an A/B whose speedup claims (2x/5x read) need a
-    # full-scale run (scripts/run_benches.sh), not this.
+    # lands. bench_commit and bench_read each measure one arm (the
+    # pipelined commit path; pruned gets and streaming scans); full-scale
+    # numbers come from scripts/run_benches.sh, not this.
     BUILD_DIR=build
     cmake -B "$BUILD_DIR" -S .
     cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_commit bench_read bench_split

@@ -9,6 +9,9 @@ namespace {
 // The most queued write-sets one flusher round drains into a single
 // KvClient::flush_writesets call.
 constexpr std::size_t kFlushBatchMax = 32;
+// §3.2: alert when the number of committed-but-unflushed transactions
+// exceeds this (a region stuck offline blocks TF(c) from advancing).
+constexpr std::size_t kFlushQueueAlert = 10'000;
 }  // namespace
 
 // --- Transaction -------------------------------------------------------------
@@ -249,7 +252,7 @@ void TxnClient::heartbeat_tick() {
     }
     return;
   }
-  if (tracker_.in_flight() > config_.flush_queue_alert) {
+  if (tracker_.in_flight() > kFlushQueueAlert) {
     alerts_.fetch_add(1, std::memory_order_relaxed);
     TFR_LOG(WARN, "client") << id_ << " flush queue exceeds alert threshold: "
                             << tracker_.in_flight();

@@ -54,10 +54,6 @@ struct TxnClientConfig {
   int flusher_threads = 8;
   Micros flush_backoff = millis(2);
   int read_retries = 0;  ///< 0 = retry forever (block through failovers)
-
-  /// §3.2: alert when the number of committed-but-unflushed transactions
-  /// exceeds this (a region stuck offline blocks TF(c) from advancing).
-  std::size_t flush_queue_alert = 10'000;
 };
 
 struct TxnClientStats {

@@ -5,7 +5,7 @@
 // fetch; false negatives are impossible.
 //
 // The filter is built once at store-file write time from the distinct row
-// hashes and serialized into the file's meta section (format v2). Probing
+// hashes and serialized into the file's meta section. Probing
 // uses double hashing (Kirsch–Mitzenmacher): k probe positions derived from
 // one 64-bit hash, so the per-probe cost is a multiply-add and a bit test.
 #pragma once
@@ -32,8 +32,9 @@ class BloomFilter {
   bool may_contain(std::uint64_t hash) const;
   bool may_contain(std::string_view key) const { return may_contain(bloom_hash(key)); }
 
-  /// True when the filter carries no bits (v1 files, empty files): probes
-  /// always pass and callers should not count skips against it.
+  /// True when the filter carries no bits (built from no keys, as for an
+  /// empty store file): probes always pass and callers should not count
+  /// skips against it.
   bool empty() const { return bits_.empty(); }
 
   std::size_t bit_count() const { return bits_.size() * 8; }

@@ -129,9 +129,6 @@ struct BalancerConfig {
   /// Upper bound on topology transitions per tick (keeps a hot tick from
   /// churning the whole keyspace at once).
   int max_actions_per_tick = 4;
-  /// Also even out raw region counts (the scale-out balancer), one move
-  /// per tick.
-  bool balance_region_counts = true;
 };
 
 class Master {
@@ -188,19 +185,20 @@ class Master {
   void enable_balancer(const BalancerConfig& config);
   void disable_balancer();
 
-  /// One synchronous balancer tick: split/merge/move triggers, then the
-  /// topology janitor (reclaims retired parent dirs no store-file reference
-  /// marker points into). Serialized by the balancer lock; safe to call
-  /// concurrently with the background loop.
-  void balance_once();
+  /// One synchronous balancer tick: split/merge triggers, then at most one
+  /// region-count move (a server holding more than one region above the
+  /// least-loaded one sheds its coldest region there — this is what spreads
+  /// regions after scale-out) and one traffic move, then the topology
+  /// janitor (reclaims retired parent dirs no store-file reference marker
+  /// points into). Returns the number of splits, merges and moves taken; a
+  /// caller that wants a settled layout ticks until this returns 0.
+  /// Serialized by the balancer lock; safe to call concurrently with the
+  /// background loop.
+  int balance_once();
 
   /// Move a region to `target_server` (flush + close at the source, open
   /// from store files at the target).
   Status move_region(const std::string& region_name, const std::string& target_server);
-
-  /// Even out the region count across live servers (used after scale-out).
-  /// Returns the number of regions moved.
-  Result<int> rebalance();
 
   std::vector<std::string> live_servers() const;
 

@@ -30,28 +30,6 @@ std::vector<Cell> Memstore::snapshot() const {
   return out;
 }
 
-std::vector<Cell> Memstore::scan(const std::string& start, const std::string& end,
-                                 Timestamp read_ts) const {
-  std::vector<Cell> out;
-  auto it = cells_.lower_bound(Key{start, "", kMaxTimestamp});
-  while (it != cells_.end()) {
-    if (!end.empty() && it->first.row >= end) break;
-    // Find the newest version of this (row, column) visible at read_ts,
-    // then skip the remaining (older) versions.
-    const std::string& row = it->first.row;
-    const std::string& column = it->first.column;
-    bool taken = false;
-    while (it != cells_.end() && it->first.row == row && it->first.column == column) {
-      if (!taken && it->first.ts <= read_ts) {
-        out.push_back(Cell{row, column, it->second.value, it->first.ts, it->second.tombstone});
-        taken = true;
-      }
-      ++it;
-    }
-  }
-  return out;
-}
-
 std::vector<Cell> Memstore::range_snapshot(const std::string& start,
                                            const std::string& end) const {
   std::vector<Cell> out;

@@ -1,7 +1,6 @@
 #include "src/kv/region.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -146,12 +145,9 @@ Result<std::vector<Cell>> Region::scan(const std::string& start_in, const std::s
   const std::string& start = start_in < desc_.start_key ? desc_.start_key : start_in;
   std::string end = end_in;
   if (!desc_.end_key.empty() && (end.empty() || end > desc_.end_key)) end = desc_.end_key;
-  if (!read_path_flags().streaming_scan.load(std::memory_order_relaxed)) {
-    return scan_legacy(start, end, read_ts, limit);
-  }
-  // Streaming path: snapshot the memstore's slice and the file list under
-  // the lock, then merge lazily — block fetches happen outside the lock and
-  // stop as soon as `limit` rows are complete.
+  // Snapshot the memstore's slice and the file list under the lock, then
+  // merge lazily — block fetches happen outside the lock and stop as soon
+  // as `limit` rows are complete.
   std::vector<Cell> mem;
   std::vector<std::shared_ptr<StoreFileReader>> files;
   {
@@ -177,45 +173,6 @@ Result<std::vector<Cell>> Region::scan(const std::string& start_in, const std::s
   MergingCellIterator merged(std::move(iters));
   std::vector<Cell> out;
   TFR_RETURN_IF_ERROR(collect_visible(merged, read_ts, limit, &out));
-  return out;
-}
-
-Result<std::vector<Cell>> Region::scan_legacy(const std::string& start, const std::string& end,
-                                              Timestamp read_ts, std::size_t limit) {
-  // Pre-streaming read path, kept for the bench_read A/B flag and as a
-  // cross-check oracle in the read-path property test: materialize every
-  // matching cell from every source, merge in a map, then apply the limit.
-  std::vector<Cell> mem;
-  std::vector<std::shared_ptr<StoreFileReader>> files;
-  {
-    MutexLock lock(mutex_);
-    mem = memstore_.scan(start, end, read_ts);
-    files = files_;
-  }
-  std::map<std::pair<std::string, std::string>, Cell> merged;
-  auto absorb = [&](const Cell& c) {
-    auto key = std::make_pair(c.row, c.column);
-    auto it = merged.find(key);
-    if (it == merged.end() || c.ts > it->second.ts) merged[key] = c;
-  };
-  for (const auto& c : mem) absorb(c);
-  for (const auto& f : files) {
-    auto cells = f->scan(*cache_, start, end, read_ts);
-    if (!cells.is_ok()) return cells.status();
-    for (const auto& c : cells.value()) absorb(c);
-  }
-  std::vector<Cell> out;
-  std::string last_row;
-  std::size_t rows = 0;
-  for (auto& [key, c] : merged) {
-    if (c.tombstone) continue;
-    if (c.row != last_row) {
-      if (limit != 0 && rows == limit) break;
-      ++rows;
-      last_row = c.row;
-    }
-    out.push_back(std::move(c));
-  }
   return out;
 }
 
@@ -448,7 +405,7 @@ Result<std::string> Region::choose_split_key() {
     files = files_;
   }
   // Prefer pure metadata: the midpoint block boundary of the largest
-  // multi-block store file (format-v2 index — no block reads). Single-block
+  // multi-block store file (the index — no block reads). Single-block
   // files have no interior boundary, and a midpoint outside (start, end)
   // would make a degenerate daughter; such files fall through.
   std::stable_sort(files.begin(), files.end(),
@@ -461,7 +418,7 @@ Result<std::string> Region::choose_split_key() {
     const std::string mid = f->midpoint_row();
     if (mid > desc_.start_key && desc_.contains(mid)) return mid;
   }
-  // Small or v1-only regions: the median distinct row of a full
+  // Regions of single-block files: the median distinct row of a full
   // (range-clipped) dump. With at least two distinct rows the median
   // differs from the smallest row, so both daughters are non-degenerate.
   auto cells = dump_cells();

@@ -123,10 +123,10 @@ class Region {
   Result<std::vector<Cell>> dump_cells();
 
   /// The key to split this region at: the midpoint block boundary of the
-  /// largest multi-block store file (format-v2 index metadata, no block
-  /// reads), falling back to the median distinct row of a full dump for
-  /// small or v1-only regions. InvalidArgument when the region holds fewer
-  /// than two distinct rows (nothing to split).
+  /// largest multi-block store file (index metadata, no block reads),
+  /// falling back to the median distinct row of a full dump for regions
+  /// whose files are all single-block. InvalidArgument when the region
+  /// holds fewer than two distinct rows (nothing to split).
   Result<std::string> choose_split_key();
 
   /// Paths of the store files currently attached, newest first. For a file
@@ -158,12 +158,6 @@ class Region {
   /// Rename-based fencing for store-file publication: write to a tmp path,
   /// re-check the epoch, then rename into the region's data dir.
   TFR_BLOCKING Status finalize_store_file(StoreFileWriter& writer, const std::string& path);
-
-  /// Materialize-then-merge scan (the pre-streaming read path), selected by
-  /// read_path_flags().streaming_scan = false for bench_read A/B runs and
-  /// as a cross-check in the read-path property test.
-  Result<std::vector<Cell>> scan_legacy(const std::string& start, const std::string& end,
-                                        Timestamp read_ts, std::size_t limit);
 
   RegionDescriptor desc_;
   Dfs* dfs_;

@@ -62,9 +62,6 @@ struct RegionServerConfig {
 
   std::size_t memstore_flush_bytes = 64ull << 20;
   std::size_t block_cache_bytes = 256ull << 20;
-  /// LRU stripes in the block cache (rounded up to a power of two); more
-  /// stripes = less reader contention, coarser per-stripe LRU.
-  std::size_t block_cache_shards = 16;
   std::size_t store_block_bytes = 16 * 1024;  // store-file block granularity
 
   /// Compact a region once it accumulates this many store files (0 = never).

@@ -3,7 +3,7 @@
 // first, then store files newest-first, fetching blocks through the
 // BlockCache.
 //
-// On-disk layout (format v2):
+// On-disk layout:
 //   [block 0][block 1]...[block n-1][index][meta][footer]
 //   block : u32 cell_count, u32 crc, cells (sorted by row, column, ts desc)
 //   index : u32 entry_count, entries { string first_row, u64 off, u64 len }
@@ -11,13 +11,11 @@
 //           u32 bloom_probes, string bloom_bits     -- row bloom filter
 //   footer: u64 index_offset, u64 index_length,
 //           u64 meta_offset, u64 meta_length, i64 max_ts,
-//           u32 version, u32 magic_v2
+//           u32 version (2), u32 magic
 //
-// Format v1 (files written before the bloom/key-range fields existed) has
-// no meta section and a footer of { index_offset, index_length, max_ts,
-// magic }; the reader distinguishes the two by magic and reads v1 files
-// with pruning disabled. The writer can still emit v1 (format_version
-// argument) so compatibility stays testable.
+// This is the only format: the DFS is in-memory, so no file outlives the
+// process that wrote it, and the reader rejects any other footer as
+// corruption.
 //
 // The meta fields are what make the read path prune: a point get consults
 // a file only if the row is inside [first_row, last_row] AND the bloom
@@ -38,17 +36,11 @@
 
 namespace tfr {
 
-/// Current on-disk format written by StoreFileWriter.
-constexpr int kStoreFileFormatLatest = 2;
-
 /// Builds one store file from cells supplied in sorted order.
 class StoreFileWriter {
  public:
   /// `target_block_bytes`: flush a block once it reaches this size.
-  /// `format_version`: 2 (default) writes the bloom/key-range meta section;
-  /// 1 reproduces the legacy footer for compatibility tests.
-  explicit StoreFileWriter(std::size_t target_block_bytes = 16 * 1024,
-                           int format_version = kStoreFileFormatLatest);
+  explicit StoreFileWriter(std::size_t target_block_bytes = 16 * 1024);
 
   /// Cells must arrive in (row, column, ts desc) order — exactly the order
   /// Memstore::snapshot() produces. Blocks rotate only at row boundaries so
@@ -65,7 +57,6 @@ class StoreFileWriter {
   void rotate_block();
 
   std::size_t target_block_bytes_;
-  int format_version_;
   std::string file_data_;
   std::string current_block_;
   std::string current_first_row_;
@@ -113,13 +104,6 @@ class StoreFileReader {
   Result<std::optional<Cell>> get(BlockCache& cache, const std::string& row,
                                   const std::string& column, Timestamp read_ts) const;
 
-  /// All cells with row in [start, end) visible at read_ts (newest version
-  /// per row/column within this file; merging across files is the caller's
-  /// job). Legacy materializing path — Region::scan streams via iterate()
-  /// instead; kept for the A/B flag and per-file tests.
-  Result<std::vector<Cell>> scan(BlockCache& cache, const std::string& start,
-                                 const std::string& end, Timestamp read_ts) const;
-
   /// Streaming iterator over every version with row in [start, end), in
   /// (row, column, ts desc) order, loading blocks lazily through `cache` as
   /// it advances. The reader (and cache) must outlive the iterator — the
@@ -133,7 +117,6 @@ class StoreFileReader {
   const std::string& path() const { return path_; }
   Timestamp max_ts() const { return max_ts_; }
   std::size_t block_count() const { return index_.size(); }
-  int format_version() const { return format_version_; }
 
   /// Approximate payload size: the sum of all block lengths (index, meta and
   /// footer excluded). Pure index metadata — no I/O.
@@ -152,13 +135,13 @@ class StoreFileReader {
   }
 
   /// File-wide key range [first_row, last_row]; meaningful only when
-  /// has_key_range() (v2 files with at least one cell).
+  /// has_key_range() (files with at least one cell).
   bool has_key_range() const { return has_key_range_; }
   const std::string& first_row() const { return first_row_; }
   const std::string& last_row() const { return last_row_; }
 
   /// True unless the key range proves [start, end) cannot intersect this
-  /// file. v1 files always overlap (no range to prune on).
+  /// file. An empty file has no range and always overlaps.
   bool range_overlaps(const std::string& start, const std::string& end) const;
 
   /// Bloom + key-range verdict for a point row (no I/O). False means the
@@ -186,7 +169,6 @@ class StoreFileReader {
   bool remove_on_last_ref_ = false;
   BlockCache* cleanup_cache_ = nullptr;
   Timestamp max_ts_ = kNoTimestamp;
-  int format_version_ = 1;
   bool has_key_range_ = false;
   std::string first_row_;
   std::string last_row_;

@@ -160,7 +160,7 @@ void RecoveryManager::publish_locked() {
   published_tp_.store(tp, std::memory_order_release);
   coord_->put(kTfPath, tf);
   coord_->put(kTpPath, tp);
-  if (config_.checkpoint_log && !config_.ignore_thresholds) tm_->checkpoint(tp);
+  if (!config_.ignore_thresholds) tm_->checkpoint(tp);
 }
 
 void RecoveryManager::poll_tick() {

@@ -57,12 +57,10 @@ struct RecoveryManagerConfig {
   /// How often the RM ingests heartbeat payloads and refreshes TF/TP.
   Micros poll_interval = millis(100);
 
-  /// Truncate the TM log at TP on every refresh when true.
-  bool checkpoint_log = true;
-
   /// Ablation baseline: ignore the TF(c)/TP(s) thresholds during recovery
   /// and replay the whole recovery log (correct — replay is idempotent —
-  /// but "extremely inefficient", §3). Implies checkpoint_log = false.
+  /// but "extremely inefficient", §3). Also stops the RM truncating the TM
+  /// log at TP on every refresh, which it otherwise always does.
   bool ignore_thresholds = false;
 };
 

@@ -8,6 +8,11 @@
 
 namespace tfr {
 
+namespace {
+// Cap on write-sets per group-commit batch.
+constexpr std::size_t kMaxBatch = 256;
+}  // namespace
+
 TxnLog::TxnLog(TxnLogConfig config)
     : config_(config),
       gc_task_([this] { gc_now(); }, config.gc_interval > 0 ? config.gc_interval : millis(20)) {
@@ -105,7 +110,7 @@ void TxnLog::appender_loop(Lane& lane) {
       MutexLock lock(mutex_);
       while (lane.queue.empty() && !stop_) lane.work_cv.wait(lock);
       if (stop_) return;
-      if (lane.queue.size() < config_.max_batch &&
+      if (lane.queue.size() < kMaxBatch &&
           static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
         // The queue at wake is shallower than the recent batch size: more
         // appenders are likely mid-flight, so hold the sync briefly to let
@@ -115,14 +120,14 @@ void TxnLog::appender_loop(Lane& lane) {
             std::min(static_cast<Micros>(lane.ewma_sync_us / 2), config_.max_group_wait);
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::microseconds(window);
-        while (!stop_ && lane.queue.size() < config_.max_batch &&
+        while (!stop_ && lane.queue.size() < kMaxBatch &&
                static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
           waited = true;
           if (!lane.work_cv.wait_until(lock, deadline)) break;
         }
         if (stop_) return;
       }
-      const std::size_t take = std::min(lane.queue.size(), config_.max_batch);
+      const std::size_t take = std::min(lane.queue.size(), kMaxBatch);
       batch.assign(lane.queue.begin(), lane.queue.begin() + static_cast<std::ptrdiff_t>(take));
       lane.queue.erase(lane.queue.begin(), lane.queue.begin() + static_cast<std::ptrdiff_t>(take));
     }

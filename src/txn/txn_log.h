@@ -56,7 +56,6 @@ namespace tfr {
 struct TxnLogConfig {
   Micros sync_latency = 0;  ///< stable-storage write per group-commit batch
   Micros sync_jitter = 0;
-  std::size_t max_batch = 256;  ///< cap on write-sets per batch
   int lanes = 1;  ///< independent logging nodes (paper §4.1)
 
   /// Adaptive group commit: when an appender wakes to a queue shallower than

@@ -87,18 +87,20 @@ TEST_F(ElasticityTest, ScaleOutRebalanceUnderLoad) {
   for (const auto& loc : bed_.master().table_regions("t")) {
     (void)bed_.master().split_region(loc.region_name);
   }
-  auto moved = bed_.master().rebalance();
-  ASSERT_TRUE(moved.is_ok());
+  // Tick the balancer until a tick takes no action; each tick moves at
+  // most one region onto the least-loaded server.
+  int moved = 0;
+  for (int n; (n = bed_.master().balance_once()) > 0;) moved += n;
+  EXPECT_GT(moved, 0);
+  // All three servers carry load.
+  std::set<std::string> hosts;
+  for (const auto& loc : bed_.master().table_regions("t")) hosts.insert(loc.server_id);
+  EXPECT_EQ(hosts.size(), 3u);
 
   sleep_millis(20);
   stop = true;
   load.join();
   ASSERT_TRUE(bed_.client(1).wait_flushed(seconds(60)));
-
-  // All three servers carry load.
-  std::set<std::string> hosts;
-  for (const auto& loc : bed_.master().table_regions("t")) hosts.insert(loc.server_id);
-  EXPECT_EQ(hosts.size(), 3u);
 
   ASSERT_TRUE(bed_.wait_stable(bed_.tm().current_ts()));
   Transaction r = bed_.client(0).begin("t");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/codec.h"
 #include "src/common/random.h"
 
 namespace tfr {
@@ -14,6 +15,26 @@ class StoreFileTest : public ::testing::Test {
   Dfs dfs_;
   BlockCache cache_;
 };
+
+std::vector<Cell> drain(CellIterator& it) {
+  std::vector<Cell> out;
+  while (it.valid()) {
+    out.push_back(it.cell());
+    EXPECT_TRUE(it.advance().is_ok());
+  }
+  return out;
+}
+
+// Newest version per (row, column) visible at read_ts among rows in
+// [start, end) — what this file contributes to a region scan.
+std::vector<Cell> visible(const StoreFileReader& reader, BlockCache& cache,
+                          const std::string& start, const std::string& end, Timestamp read_ts) {
+  auto it = reader.iterate(cache, start, end);
+  EXPECT_TRUE(it.is_ok());
+  std::vector<Cell> out;
+  EXPECT_TRUE(collect_visible(*it.value(), read_ts, /*limit=*/0, &out).is_ok());
+  return out;
+}
 
 TEST_F(StoreFileTest, RoundTripSingleBlock) {
   StoreFileWriter writer;
@@ -82,11 +103,12 @@ TEST_F(StoreFileTest, ScanRange) {
   }
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  auto cells = reader->scan(cache_, "row00010", "row00020", 10);
-  ASSERT_TRUE(cells.is_ok());
-  EXPECT_EQ(cells.value().size(), 10u);
-  EXPECT_EQ(cells.value().front().row, "row00010");
-  EXPECT_EQ(cells.value().back().row, "row00019");
+  auto it = reader->iterate(cache_, "row00010", "row00020");
+  ASSERT_TRUE(it.is_ok());
+  const auto cells = drain(*it.value());
+  ASSERT_EQ(cells.size(), 10u);
+  EXPECT_EQ(cells.front().row, "row00010");
+  EXPECT_EQ(cells.back().row, "row00019");
 }
 
 TEST_F(StoreFileTest, ScanDeduplicatesVersions) {
@@ -95,7 +117,10 @@ TEST_F(StoreFileTest, ScanDeduplicatesVersions) {
   writer.add(Cell{"a", "c", "v1", 1, false});
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  auto cells = reader->scan(cache_, "", "", 10).value();
+  // The iterator yields every version; visibility keeps the newest.
+  auto it = reader->iterate(cache_, "", "").value();
+  EXPECT_EQ(drain(*it).size(), 2u);
+  auto cells = visible(*reader, cache_, "", "", 10);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].value, "v2");
 }
@@ -106,7 +131,8 @@ TEST_F(StoreFileTest, EmptyFileIsValid) {
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
   EXPECT_EQ(reader->block_count(), 0u);
   EXPECT_FALSE(reader->get(cache_, "x", "c", 10).value().has_value());
-  EXPECT_TRUE(reader->scan(cache_, "", "", 10).value().empty());
+  EXPECT_FALSE(reader->has_key_range());
+  EXPECT_FALSE(reader->iterate(cache_, "", "").value()->valid());
 }
 
 TEST_F(StoreFileTest, CorruptFileRejected) {
@@ -114,15 +140,16 @@ TEST_F(StoreFileTest, CorruptFileRejected) {
   EXPECT_EQ(StoreFileReader::open(dfs_, "/junk").status().code(), Code::kCorruption);
   ASSERT_TRUE(dfs_.write_file("/tiny", "xy").is_ok());
   EXPECT_EQ(StoreFileReader::open(dfs_, "/tiny").status().code(), Code::kCorruption);
-}
-
-std::vector<Cell> drain(CellIterator& it) {
-  std::vector<Cell> out;
-  while (it.valid()) {
-    out.push_back(it.cell());
-    EXPECT_TRUE(it.advance().is_ok());
-  }
-  return out;
+  // A file ending in the retired v1 footer { index_offset, index_length,
+  // max_ts, magic 0x7f5bf11e } behind enough bytes to hold a whole footer.
+  std::string v1(64, '\0');
+  Encoder enc(&v1);
+  enc.put_u64(0);
+  enc.put_u64(4);
+  enc.put_i64(1);
+  enc.put_u32(0x7f5bf11e);
+  ASSERT_TRUE(dfs_.write_file("/v1", v1).is_ok());
+  EXPECT_EQ(StoreFileReader::open(dfs_, "/v1").status().code(), Code::kCorruption);
 }
 
 TEST_F(StoreFileTest, RowBeforeFirstBlock) {
@@ -137,7 +164,7 @@ TEST_F(StoreFileTest, RowBeforeFirstBlock) {
   ASSERT_GT(reader->block_count(), 2u);
   // A row sorting before the whole file: no index block covers it.
   EXPECT_FALSE(reader->get(cache_, "row00001", "c", 10).value().has_value());
-  EXPECT_TRUE(reader->scan(cache_, "a", "row00010", 10).value().empty());
+  EXPECT_TRUE(visible(*reader, cache_, "a", "row00010", 10).empty());
   // An iterator starting before the first row begins at the first row.
   auto it = reader->iterate(cache_, "a", "").value();
   ASSERT_TRUE(it->valid());
@@ -155,10 +182,10 @@ TEST_F(StoreFileTest, EmptyScanRange) {
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
   // start == end: nothing qualifies.
-  EXPECT_TRUE(reader->scan(cache_, "row00005", "row00005", 10).value().empty());
+  EXPECT_TRUE(visible(*reader, cache_, "row00005", "row00005", 10).empty());
   EXPECT_FALSE(reader->iterate(cache_, "row00005", "row00005").value()->valid());
   // A range that falls between two adjacent rows.
-  EXPECT_TRUE(reader->scan(cache_, "row00005a", "row00006", 10).value().empty());
+  EXPECT_TRUE(visible(*reader, cache_, "row00005a", "row00006", 10).empty());
   // A range past the last row.
   EXPECT_FALSE(reader->iterate(cache_, "row99999", "").value()->valid());
 }
@@ -186,7 +213,6 @@ TEST_F(StoreFileTest, V2MetadataRoundTrip) {
   writer.add(Cell{"peach", "c", "v", 1, false});
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  EXPECT_EQ(reader->format_version(), 2);
   ASSERT_TRUE(reader->has_key_range());
   EXPECT_EQ(reader->first_row(), "apple");
   EXPECT_EQ(reader->last_row(), "peach");
@@ -238,37 +264,6 @@ TEST_F(StoreFileTest, BloomFalsePositiveStillCorrect) {
   auto got = reader->get(cache_, fp, "c", 10);
   ASSERT_TRUE(got.is_ok());
   EXPECT_FALSE(got.value().has_value());
-}
-
-TEST_F(StoreFileTest, V1FormatReadByNewReader) {
-  StoreFileWriter writer(/*target_block_bytes=*/128, /*format_version=*/1);
-  for (int i = 0; i < 30; ++i) {
-    char row[16];
-    std::snprintf(row, sizeof(row), "row%05d", i);
-    writer.add(Cell{row, "c", "v" + std::to_string(i), static_cast<Timestamp>(i + 1), false});
-  }
-  ASSERT_TRUE(writer.finish(dfs_, "/sf-v1").is_ok());
-  auto reader = StoreFileReader::open(dfs_, "/sf-v1").value();
-  EXPECT_EQ(reader->format_version(), 1);
-  EXPECT_FALSE(reader->has_key_range());
-  // No meta to prune on: every row may be present, every range overlaps.
-  EXPECT_TRUE(reader->may_contain_row("zzz"));
-  EXPECT_TRUE(reader->range_overlaps("x", "y"));
-  // Reads behave exactly as for a v2 file.
-  EXPECT_EQ(reader->get(cache_, "row00017", "c", 100).value()->value, "v17");
-  EXPECT_FALSE(reader->get(cache_, "nope", "c", 100).value().has_value());
-  EXPECT_EQ(reader->scan(cache_, "row00010", "row00020", 100).value().size(), 10u);
-  auto it = reader->iterate(cache_, "", "").value();
-  EXPECT_EQ(drain(*it).size(), 30u);
-  EXPECT_EQ(reader->max_ts(), 30);
-}
-
-TEST_F(StoreFileTest, V1EmptyFileIsValid) {
-  StoreFileWriter writer(16 * 1024, /*format_version=*/1);
-  ASSERT_TRUE(writer.finish(dfs_, "/sf-v1-empty").is_ok());
-  auto reader = StoreFileReader::open(dfs_, "/sf-v1-empty").value();
-  EXPECT_EQ(reader->format_version(), 1);
-  EXPECT_FALSE(reader->iterate(cache_, "", "").value()->valid());
 }
 
 TEST_F(StoreFileTest, BlockReadsGoThroughCache) {
