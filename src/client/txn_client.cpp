@@ -189,8 +189,9 @@ Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet w
   commits_.fetch_add(1, std::memory_order_relaxed);
 
   if (to_flush.mutations.empty()) {
-    // Read-only transaction: nothing to flush.
-    tracker_.on_flushed(commit_ts);
+    // Read-only transaction: the TM returned its snapshot without drawing a
+    // timestamp or logging it, so there is nothing to flush and nothing for
+    // FQ/FQ' to track — Algorithm 1's idle fast path covers it.
     return commit_ts;
   }
 

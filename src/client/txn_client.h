@@ -84,7 +84,8 @@ class Transaction {
                                  std::size_t limit);
 
   /// Commit. Returns the commit timestamp, or Aborted on a write-write
-  /// conflict. After a successful return the transaction is durable.
+  /// conflict. After a successful return the transaction is durable. A
+  /// read-only transaction returns its snapshot timestamp and is not logged.
   Result<Timestamp> commit();
 
   /// Discard the buffered write-set (§2.2: nothing is logged or flushed).

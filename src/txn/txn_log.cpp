@@ -11,6 +11,8 @@ namespace tfr {
 namespace {
 // Cap on write-sets per group-commit batch.
 constexpr std::size_t kMaxBatch = 256;
+// Hard cap on the adaptive accumulation window.
+constexpr Micros kMaxGroupWait = millis(2);
 }  // namespace
 
 TxnLog::TxnLog(TxnLogConfig config)
@@ -111,13 +113,14 @@ void TxnLog::appender_loop(Lane& lane) {
       while (lane.queue.empty() && !stop_) lane.work_cv.wait(lock);
       if (stop_) return;
       if (lane.queue.size() < kMaxBatch &&
-          static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
-        // The queue at wake is shallower than the recent batch size: more
-        // appenders are likely mid-flight, so hold the sync briefly to let
-        // them join. The window is worth at most half a sync — beyond that
-        // the wait costs more than the sync it would save.
-        const Micros window =
-            std::min(static_cast<Micros>(lane.ewma_sync_us / 2), config_.max_group_wait);
+          static_cast<double>(lane.queue.size() + 1) <= lane.ewma_batch) {
+        // Recent batches were at least one record deeper than the queue at
+        // wake: another appender is expected mid-flight, so hold the sync
+        // briefly to let it join. A fractional shortfall (queue 1, average
+        // 1.3) predicts no joiner, and holding for it would only delay the
+        // record already here. The window is worth at most half a sync —
+        // beyond that the wait costs more than the sync it would save.
+        const Micros window = std::min(static_cast<Micros>(lane.ewma_sync_us / 2), kMaxGroupWait);
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::microseconds(window);
         while (!stop_ && lane.queue.size() < kMaxBatch &&

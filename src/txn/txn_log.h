@@ -11,7 +11,19 @@
 //
 //   * group commit — appenders block until their record is durable; a
 //     dedicated appender thread batches all waiting records into a single
-//     stable-storage write, charging the sync latency once per batch;
+//     stable-storage write, charging the sync latency once per batch.
+//     The batch is adaptive: the appender holds the write for a short
+//     accumulation window (at most half the observed sync, capped at 2 ms)
+//     only when a joiner is expected, i.e. when the queue at wake plus one
+//     is still within the recent average batch size (`queue + 1 <=
+//     ewma_batch`). The `+ 1` is the point: with few committers the
+//     average sits between 1 and 2, and a bare `queue < ewma_batch` would
+//     then hold almost every lone record for a joiner that rarely comes,
+//     adding up to half a sync to each commit. Under many committers the
+//     average is well above a straggler's queue, so the hold still waits
+//     for the rest of the batch.
+//     Batch sizes and sync waits are exported as the `log.batch_size` /
+//     `log.sync_wait` global histograms;
 //   * configurable stable-storage latency;
 //   * distribution — `lanes` independent logging nodes, each with its own
 //     appender and stable storage; appends are routed by client so the
@@ -57,14 +69,6 @@ struct TxnLogConfig {
   Micros sync_latency = 0;  ///< stable-storage write per group-commit batch
   Micros sync_jitter = 0;
   int lanes = 1;  ///< independent logging nodes (paper §4.1)
-
-  /// Adaptive group commit: when an appender wakes to a queue shallower than
-  /// the recent batch size, it holds the stable-storage write for a short
-  /// accumulation window — bounded by half the observed sync latency and by
-  /// `max_group_wait` — so stragglers join the batch instead of paying a sync
-  /// of their own. Batch sizes and sync waits are exported as the
-  /// `log.batch_size` / `log.sync_wait` global histograms.
-  Micros max_group_wait = millis(2);  ///< hard cap on the accumulation window
 
   /// Records per lane segment before the active segment seals. Small enough
   /// that the retained suffix above TP spans few partially-dead segments,

@@ -31,6 +31,14 @@ TxnHandle TxnManager::begin(Timestamp start_ts, const std::string& client_id) {
   return h;
 }
 
+void TxnManager::release_locked(const TxnHandle& txn) {
+  remove_active(active_start_ts_, active_count_, txn.start_ts);
+  if (!txn.client_id.empty()) {
+    auto cit = open_by_client_.find(txn.client_id);
+    if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
+  }
+}
+
 void TxnManager::abandon_client(const std::string& client_id) {
   MutexLock lock(mutex_);
   auto it = open_by_client_.find(client_id);
@@ -47,6 +55,14 @@ Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
   Timestamp commit_ts = kNoTimestamp;
   {
     MutexLock lock(mutex_);
+    if (ws.mutations.empty()) {
+      // Read-only: under SI it serializes at its snapshot, conflicts with
+      // nothing and has nothing to recover, so it takes no timestamp and
+      // never touches the log — it only releases its snapshot.
+      release_locked(txn);
+      ++stats_.commits;
+      return txn.start_ts;
+    }
     // First-committer-wins write-write conflict check (snapshot isolation):
     // abort if any row we wrote was committed by someone after our snapshot.
     // Conflict keys are table-qualified — the same row key in two tables is
@@ -54,22 +70,14 @@ Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
     for (const auto& m : ws.mutations) {
       auto it = last_writer_.find(ws.table + "\x1f" + m.row);
       if (it != last_writer_.end() && it->second > txn.start_ts) {
-        remove_active(active_start_ts_, active_count_, txn.start_ts);
-        if (!txn.client_id.empty()) {
-          auto cit = open_by_client_.find(txn.client_id);
-          if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-        }
+        release_locked(txn);
         ++stats_.aborts_conflict;
         return Status::aborted("write-write conflict on row " + m.row);
       }
     }
     commit_ts = ++last_ts_;
     for (const auto& m : ws.mutations) last_writer_[ws.table + "\x1f" + m.row] = commit_ts;
-    remove_active(active_start_ts_, active_count_, txn.start_ts);
-    if (!txn.client_id.empty()) {
-      auto cit = open_by_client_.find(txn.client_id);
-      if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-    }
+    release_locked(txn);
     ++stats_.commits;
     if (++commits_since_prune_ >= 4096) prune_conflicts_locked();
     // Inside the critical section: Algorithm 1's FQ sees commit timestamps
@@ -84,11 +92,7 @@ Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
 
 void TxnManager::abort(const TxnHandle& txn) {
   MutexLock lock(mutex_);
-  remove_active(active_start_ts_, active_count_, txn.start_ts);
-  if (!txn.client_id.empty()) {
-    auto cit = open_by_client_.find(txn.client_id);
-    if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-  }
+  release_locked(txn);
   ++stats_.aborts_explicit;
 }
 

@@ -7,7 +7,9 @@
 //    write-write conflict check (the paper's TM is SI-based, §4.1);
 //  * durability: the commit point is the group-commit append of the
 //    write-set to the recovery log — nothing needs to be persisted in the
-//    key-value store before commit returns.
+//    key-value store before commit returns. A write commit costs exactly one
+//    log sync (shared with its group-commit batch); a read-only commit costs
+//    none, since it returns its snapshot timestamp and is never logged.
 //
 // The commit-timestamp listener: the client's flush tracker (Algorithm 1)
 // must learn commit timestamps *in commit order* with no gaps, otherwise its
@@ -58,6 +60,11 @@ class TxnManager {
   /// log and the commit timestamp is returned; `ts_listener` (may be null)
   /// has been invoked with it inside the ordering critical section.
   /// Returns Aborted on a write-write conflict (first committer wins).
+  ///
+  /// A read-only transaction (empty write-set) serializes at its snapshot
+  /// under SI: it releases the snapshot, counts as a commit and returns
+  /// `txn.start_ts`, but draws no timestamp, never calls `ts_listener` and
+  /// is never logged — it costs no log sync and leaves nothing to recover.
   Result<Timestamp> commit(const TxnHandle& txn, WriteSet ws, const TsListener& ts_listener);
 
   /// Abort: the buffered write-set is simply discarded (§2.2); nothing is
@@ -84,6 +91,8 @@ class TxnManager {
   TxnManagerStats stats() const;
 
  private:
+  /// Drop `txn` from the active snapshots and its client's open set.
+  void release_locked(const TxnHandle& txn) TFR_REQUIRES(mutex_);
   void prune_conflicts_locked() TFR_REQUIRES(mutex_);
 
   TxnLog log_;

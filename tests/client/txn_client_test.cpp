@@ -118,8 +118,17 @@ TEST_F(TxnClientTest, CommitOnFinishedTransactionRejected) {
 TEST_F(TxnClientTest, ReadOnlyTransactionCommits) {
   Transaction txn = bed_.client().begin("t");
   (void)txn.get("whatever", "c");
+  const auto appends = bed_.tm().log().stats().appends;
+  const Timestamp oracle = bed_.tm().current_ts();
   auto ts = txn.commit();
-  EXPECT_TRUE(ts.is_ok());
+  ASSERT_TRUE(ts.is_ok());
+  // A read-only commit serializes at its snapshot: no timestamp, no log
+  // append, nothing for the flush tracker.
+  EXPECT_EQ(ts.value(), txn.snapshot_ts());
+  EXPECT_EQ(bed_.tm().log().stats().appends, appends);
+  EXPECT_EQ(bed_.tm().current_ts(), oracle);
+  EXPECT_EQ(bed_.client().flush_backlog(), 0u);
+  EXPECT_EQ(bed_.client().stats().commits, 1);
   EXPECT_TRUE(bed_.client().wait_flushed());
 }
 

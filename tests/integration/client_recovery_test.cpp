@@ -79,6 +79,23 @@ TEST_F(ClientRecoveryTest, UncommittedTransactionIsSimplyGone) {
   EXPECT_EQ(bed_.rm().recovery_client_stats().client_writesets_replayed, 0);
 }
 
+TEST_F(ClientRecoveryTest, ReadOnlyClientCrashReplaysNothing) {
+  // Read-only commits are never logged, so a client that ran only readers
+  // leaves nothing above its TF for the recovery manager to replay.
+  TxnClient& reader = bed_.client(0);
+  for (int i = 0; i < 20; ++i) {
+    Transaction txn = reader.begin("t");
+    ASSERT_TRUE(txn.get(Testbed::row_key(i), "c").is_ok());
+    ASSERT_TRUE(txn.commit().is_ok());
+  }
+  bed_.crash_client(0);
+  ASSERT_TRUE(bed_.wait_client_recoveries(1));
+  bed_.wait_for_recovery();
+  EXPECT_EQ(bed_.rm().stats().client_recoveries, 1);
+  EXPECT_EQ(bed_.rm().stats().writesets_replayed_client, 0);
+  EXPECT_EQ(bed_.rm().recovery_client_stats().client_writesets_replayed, 0);
+}
+
 TEST_F(ClientRecoveryTest, CleanCloseTriggersNoReplay) {
   TxnClient& leaver = bed_.client(0);
   Transaction txn = leaver.begin("t");

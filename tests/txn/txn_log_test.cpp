@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "src/common/metrics.h"
@@ -155,7 +157,7 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   TxnLogConfig cfg;
   cfg.sync_latency = millis(4);
   cfg.sync_jitter = 0;
-  cfg.max_group_wait = millis(2);
+  constexpr Micros kMaxGroupWait = millis(2);  // txn_log.cpp's window cap
   reset_global_histograms();
   TxnLog log(cfg);
   constexpr int kThreads = 12;
@@ -178,7 +180,7 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   // wall clock is bounded by batches x (sync + accumulation window) plus
   // scheduling slack, far below appends x sync (192 ms here).
   EXPECT_LT(elapsed,
-            stats.batches * (cfg.sync_latency + cfg.max_group_wait) + millis(40));
+            stats.batches * (cfg.sync_latency + kMaxGroupWait) + millis(40));
   // Group commit feeds the shared histograms: one batch-size sample per
   // batch.
   for (const auto& [name, hist] : global_histogram_snapshot()) {
@@ -186,6 +188,72 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
       EXPECT_GE(hist->count(), static_cast<std::uint64_t>(stats.batches));
     }
   }
+}
+
+TEST(TxnLogTest, LoneAppendAfterASmallBurstDoesNotHold) {
+  // A few concurrent committers leave the average batch size between 1 and
+  // 2. A lone appender after that must not hold its sync for a joiner the
+  // average does not predict: the hold needs queue + 1 <= average.
+  TxnLogConfig cfg;
+  cfg.sync_latency = millis(5);
+  TxnLog log(cfg);
+  Timestamp ts = 0;
+  // Three concurrent appends against a 5 ms sync: at least two share a
+  // batch, and no batch exceeds three, so the average ends in (1, 1.5].
+  for (int attempt = 0; attempt < 10 && log.stats().batches == log.stats().appends; ++attempt) {
+    std::vector<std::thread> burst;
+    for (int t = 0; t < 3; ++t) {
+      const Timestamp mine = ++ts;
+      burst.emplace_back([&log, mine] { ASSERT_TRUE(log.append(make_ws(mine)).is_ok()); });
+    }
+    for (auto& t : burst) t.join();
+  }
+  const auto after_burst = log.stats();
+  ASSERT_LT(after_burst.batches, after_burst.appends) << "the burst never batched";
+
+  constexpr int kSerial = 10;
+  for (int i = 0; i < kSerial; ++i) ASSERT_TRUE(log.append(make_ws(++ts)).is_ok());
+  const auto stats = log.stats();
+  EXPECT_EQ(stats.batches, after_burst.batches + kSerial);
+  EXPECT_EQ(stats.group_waits, after_burst.group_waits)
+      << "a lone append held its sync for a joiner that could not come";
+}
+
+TEST(TxnLogTest, ClosedLoopAppendersStillBatch) {
+  // Closed-loop committers that think for a fraction of a sync between
+  // appends return to the queue while the next batch is syncing. Without
+  // the hold they settle into two alternating half-size batches and never
+  // leave them. With it the appender waits for the expected joiners, and
+  // batches grow toward all eight. The start-up race decides which state a
+  // fresh log reaches: an exactly even split also holds nothing (queue 4,
+  // average 4), and catches about one fresh log in four. So each attempt
+  // uses a fresh log, and one that batches is enough; without the hold no
+  // attempt can exceed about four.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 50;
+  constexpr Micros kThink = 200;  // a fifth of the sync
+  constexpr int kAttempts = 6;
+  double best = 0;
+  for (int attempt = 0; attempt < kAttempts && best < 5.0; ++attempt) {
+    TxnLogConfig cfg;
+    cfg.sync_latency = millis(1);
+    TxnLog log(cfg);
+    std::atomic<Timestamp> next_ts{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&log, &next_ts] {
+        for (int i = 0; i < kPerThread; ++i) {
+          ASSERT_TRUE(log.append(make_ws(++next_ts)).is_ok());
+          sleep_micros(kThink);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    const auto stats = log.stats();
+    ASSERT_EQ(stats.appends, kThreads * kPerThread);
+    best = std::max(best, static_cast<double>(stats.appends) / static_cast<double>(stats.batches));
+  }
+  EXPECT_GE(best, 5.0) << "no attempt batched beyond two alternating groups";
 }
 
 TEST(TxnLogTest, RecoveryScanOrderSurvivesBatchBoundaries) {

@@ -76,6 +76,41 @@ TEST(TxnManagerTest, CommitAppendsToRecoveryLog) {
   EXPECT_EQ(logged[0].mutations.size(), 2u);
 }
 
+TEST(TxnManagerTest, ReadOnlyCommitReleasesItsSnapshot) {
+  TxnManager tm(TxnLogConfig{});
+  auto reader = tm.begin(0, "reader");  // snapshot 0 pins the prune floor
+  auto w = tm.begin(0);
+  ASSERT_TRUE(tm.commit(w, ws_on_rows({"contested"}), nullptr).is_ok());
+  tm.checkpoint(tm.current_ts());
+  const auto bulk = [&tm](const std::string& prefix) {
+    // Enough commits to run at least one conflict-table prune.
+    for (int i = 0; i < 5000; ++i) {
+      auto txn = tm.begin(tm.current_ts());
+      ASSERT_TRUE(tm.commit(txn, ws_on_rows({prefix + std::to_string(i)}), nullptr).is_ok());
+    }
+  };
+  // While the reader is open, the prune keeps "contested": a writer on the
+  // old snapshot still conflicts with it.
+  bulk("pinned");
+  EXPECT_TRUE(tm.commit(tm.begin(0), ws_on_rows({"contested"}), nullptr).status().is_aborted());
+
+  const Timestamp before = tm.current_ts();
+  const auto appends = tm.log().stats().appends;
+  auto committed = tm.commit(reader, WriteSet{}, [](Timestamp) { FAIL() << "listener called"; });
+  ASSERT_TRUE(committed.is_ok());
+  EXPECT_EQ(committed.value(), reader.start_ts);  // serializes at its snapshot
+  EXPECT_EQ(tm.current_ts(), before);             // no timestamp drawn
+  EXPECT_EQ(tm.log().stats().appends, appends);   // nothing logged
+  EXPECT_EQ(tm.stats().commits, 5002);
+
+  // The released snapshot no longer pins the floor: the next prune forgets
+  // the old writer, so the same stale write no longer finds it.
+  bulk("released");
+  EXPECT_TRUE(tm.commit(tm.begin(0), ws_on_rows({"contested"}), nullptr).is_ok());
+  tm.abandon_client("reader");  // the reader is no longer open
+  EXPECT_EQ(tm.stats().aborts_explicit, 0);
+}
+
 TEST(TxnManagerTest, ListenerRunsBeforeCommitReturnsAndInOrder) {
   TxnManager tm(TxnLogConfig{});
   std::vector<Timestamp> seen;
