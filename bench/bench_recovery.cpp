@@ -6,7 +6,9 @@
 // transactions (N = base x {1, 3, 10}), crash a region server, and measure
 // the three recovery phases separately —
 //
-//   detect  crash -> the master marks the server dead (session expiry)
+//   detect  crash -> the master marks the server dead. Nothing reads or
+//           writes the dead server here, so no RPC can prove the crash and
+//           detection waits for the session expiry (TTL 400 ms).
 //   split   the parallel WAL split (master.last_split_us)
 //   replay  region reassignment + gate replay (master.last_replay_us)
 //

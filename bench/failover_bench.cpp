@@ -4,10 +4,13 @@
 // retries until the fenced reassignment brings the region back, so the one
 // probe that straddles the outage measures it end to end:
 //
-//   crash ──> session expiry (TTL) ──> epoch bump + WAL fence/split ──>
-//   reassignment + replay ──> probe ack
+//   crash ──> the probe's next write bounces with ServerDown ──> the
+//   master's own probe confirms the crash ──> epoch bump + WAL fence/split
+//   ──> reassignment + replay ──> probe ack
 //
-// Reported per trial: crash-to-detection (master sees the expiry) and
+// No session TTL is waited out: a crash is taken over on proof (silence —
+// a partition or a stalled heartbeat — would still wait for the expiry).
+// Reported per trial: crash-to-detection (master marks the server dead) and
 // crash-to-restore (first acked write under the new epoch), plus the
 // longest single probe stall. Emits BENCH_failover.json alongside the
 // human-readable report so the perf trajectory can be tracked run to run.
@@ -138,8 +141,8 @@ int main() {
   const double restore = mean(&Trial::restore_ms);
   const double stall = mean(&Trial::stall_ms);
   std::printf("\nmean: detect=%.1fms  restore=%.1fms  max_stall=%.1fms\n", detect, restore, stall);
-  std::printf("(detection is bounded below by the session TTL; restore adds the epoch\n");
-  std::printf(" bump, WAL fence + split, reassignment, and replay.)\n");
+  std::printf("(detection is one bounced write plus the master's probe; restore adds the\n");
+  std::printf(" epoch bump, WAL fence + split, reassignment, and replay.)\n");
 
   std::FILE* out = std::fopen("BENCH_failover.json", "w");
   if (out == nullptr) {

@@ -1,6 +1,7 @@
 // Failure drill — a narrated tour of every failure mode the recovery
 // middleware handles (§3), with INFO logging on so you can watch the
-// protocol: heartbeats expiring, the master splitting WALs, regions being
+// protocol: crashes proven by a bounced RPC or heartbeats expiring, the
+// master splitting WALs, regions being
 // gated, the recovery manager replaying write-sets, thresholds advancing.
 //
 //   drill 1: region-server crash      (Algorithm 3/4: replay after TPr(s))

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Replay every pinned schedule in tests/integration/seed_corpus.txt against
-# the chaos-soak / zombie-partition suites — the regression gate for seeds
+# the soak suites it names — the regression gate for seeds
 # that have actually failed in the past (see the corpus header for the
 # add-a-seed workflow).
 #
@@ -27,8 +27,9 @@ while read -r kind seed _; do
     zombie) filter='Seeds/ZombiePartitionTest.FencedTakeoverLeavesNoStaleWritesVisible/0' ;;
     cascade) filter='Seeds/CascadeSoakTest.SecondFailureDuringRecoveryNeverLosesGcdWriteSets/0' ;;
     split) filter='Seeds/SplitSoakTest.TopologyChurnDuringFailuresKeepsInvariants/0' ;;
+    race) filter='Seeds/ProofExpiryRaceTest.OneWalSplitWhicheverReportWins/0' ;;
     *)
-      echo "replay_seed_corpus: unknown kind '$kind' in $CORPUS (use chaos|zombie|cascade|split)" >&2
+      echo "replay_seed_corpus: unknown kind '$kind' in $CORPUS (use chaos|zombie|cascade|split|race)" >&2
       exit 2
       ;;
   esac

@@ -13,6 +13,7 @@ std::string_view fault_op_name(FaultOp op) {
     case FaultOp::kDfsSync: return "dfs_sync";
     case FaultOp::kDfsRead: return "dfs_read";
     case FaultOp::kCoordHeartbeat: return "coord_heartbeat";
+    case FaultOp::kRpcProbe: return "rpc_probe";
   }
   return "unknown";
 }

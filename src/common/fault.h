@@ -43,6 +43,7 @@ enum class FaultOp {
   kDfsSync,         // Dfs::sync (per path)
   kDfsRead,         // Dfs::read (per path)
   kCoordHeartbeat,  // RegionServer::heartbeat_tick -> Coord::heartbeat
+  kRpcProbe,        // RegionServer::probe (the master's crash check)
 };
 
 std::string_view fault_op_name(FaultOp op);

@@ -15,6 +15,7 @@ std::string_view code_name(Code c) {
     case Code::kCorruption: return "Corruption";
     case Code::kInternal: return "Internal";
     case Code::kWrongEpoch: return "WrongEpoch";
+    case Code::kServerDown: return "ServerDown";
   }
   return "Unknown";
 }

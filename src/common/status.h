@@ -27,6 +27,9 @@ enum class Code {
   kCorruption,       // stored data failed to decode
   kInternal,         // invariant violation inside the library
   kWrongEpoch,       // write bears a stale ownership epoch; relocate and retry
+  kServerDown,       // the answering server has crashed: proof, not silence.
+                     // A refinement of kUnavailable — is_unavailable() holds
+                     // too, so every retry loop retries it
 };
 
 /// Human-readable name of a status code ("Ok", "NotFound", ...).
@@ -49,6 +52,7 @@ class [[nodiscard]] Status {
   static Status corruption(std::string m) { return {Code::kCorruption, std::move(m)}; }
   static Status internal(std::string m) { return {Code::kInternal, std::move(m)}; }
   static Status wrong_epoch(std::string m) { return {Code::kWrongEpoch, std::move(m)}; }
+  static Status server_down(std::string m) { return {Code::kServerDown, std::move(m)}; }
 
   bool is_ok() const { return code_ == Code::kOk; }
   explicit operator bool() const { return is_ok(); }
@@ -57,7 +61,10 @@ class [[nodiscard]] Status {
   const std::string& message() const { return message_; }
 
   bool is_not_found() const { return code_ == Code::kNotFound; }
-  bool is_unavailable() const { return code_ == Code::kUnavailable; }
+  bool is_unavailable() const {
+    return code_ == Code::kUnavailable || code_ == Code::kServerDown;
+  }
+  bool is_server_down() const { return code_ == Code::kServerDown; }
   bool is_aborted() const { return code_ == Code::kAborted; }
   bool is_timeout() const { return code_ == Code::kTimeout; }
   bool is_wrong_epoch() const { return code_ == Code::kWrongEpoch; }

@@ -69,8 +69,9 @@ class Cluster {
   /// Add one more region server at runtime (elastic scale-out).
   Result<RegionServer*> add_server();
 
-  /// Crash-fail server i. The master will detect the failure via the
-  /// coordination service and run recovery.
+  /// Crash-fail server i. The master detects the failure when an RPC
+  /// bounces off the server (proof) or its session expires (silence), and
+  /// runs recovery.
   void crash_server(int i);
 
   const ClusterConfig& config() const { return config_; }

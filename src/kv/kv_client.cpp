@@ -145,6 +145,7 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
           if (!result.status().is_unavailable() && !result.status().is_wrong_epoch()) {
             return result.status();
           }
+          if (result.status().is_server_down()) master_->suspect_server(server_id);
           any_retryable = true;
           for (auto& [ws_index, muts] : slices) {
             for (const auto& m : muts) invalidate_route(batch[ws_index].table, m.row);
@@ -154,17 +155,20 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
           continue;
         }
         const std::vector<Status>& statuses = result.value();
+        bool server_down = false;
         for (std::size_t s = 0; s < statuses.size(); ++s) {
           if (statuses[s].is_ok()) continue;
           if (!statuses[s].is_unavailable() && !statuses[s].is_wrong_epoch()) {
             return statuses[s];  // real error
           }
+          server_down = server_down || statuses[s].is_server_down();
           any_retryable = true;
           const auto& muts = slices[slice_ws[s]];
           for (const auto& m : muts) invalidate_route(batch[slice_ws[s]].table, m.row);
           auto& dst = still[slice_ws[s]];
           dst.insert(dst.end(), muts.begin(), muts.end());
         }
+        if (server_down) master_->suspect_server(server_id);
       }
       pending = std::move(still);
       if (!any_retryable) continue;  // progress was clean; re-check for done
@@ -204,6 +208,7 @@ Result<std::optional<Cell>> KvClient::get(const std::string& table, const std::s
             (!result.status().is_unavailable() && !result.status().is_wrong_epoch())) {
           return result;
         }
+        if (result.status().is_server_down()) master_->suspect_server(loc.value().server_id);
       }
       // Not serving / moved / fenced: the cached route is suspect.
       invalidate_route(table, row);
@@ -251,8 +256,10 @@ Result<std::vector<Cell>> KvClient::scan(const std::string& table, const std::st
               (!end.empty() && (region_end.empty() || end < region_end)) ? end : region_end;
           auto cells = s->scan(table, cursor, chunk_end, read_ts, rows_left, client_id_);
           if (!cells.is_ok()) {
-            // A chunk bounced (region split under us, moved, or fenced):
-            // drop the stale route before the outer retry re-locates.
+            // A chunk bounced (region split under us, moved, fenced, or its
+            // server crashed): drop the stale route before the outer retry
+            // re-locates.
+            if (cells.status().is_server_down()) master_->suspect_server(cur.value().server_id);
             invalidate_route(table, cursor);
             failed = true;
             break;

@@ -17,6 +17,9 @@
 // WrongEpoch from a fenced stale owner. The cache invalidates the covering
 // entry and the next attempt fetches the fresh assignment; retry pacing
 // stays with the caller's shared Backoff, so a stale route never spins.
+// A ServerDown answer is more than staleness: it is proof that the server
+// crashed, so every retry loop also reports it (Master::suspect_server),
+// and the takeover starts without waiting out the server's session TTL.
 #pragma once
 
 #include <atomic>

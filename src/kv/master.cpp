@@ -676,8 +676,39 @@ void Master::on_session_event(const SessionInfo& info, bool expired) {
     it->second = false;
     ++in_flight_recoveries_;
   }
+  if (expired) global_counter("master.takeovers_on_expiry").add();
   TFR_LOG(INFO, "master") << "server " << info.name << (expired ? " FAILED" : " left cleanly");
   failures_.push({info.name, expired});
+}
+
+void Master::suspect_server(const std::string& server_id) {
+  RegionServer* stub = nullptr;
+  {
+    MutexLock lock(mutex_);
+    auto it = server_alive_.find(server_id);
+    if (it == server_alive_.end() || !it->second) return;  // unknown or already handled
+    stub = servers_.at(server_id);
+  }
+  global_counter("master.crash_probes").add();
+  if (!stub->probe(kMasterNodeId).is_server_down()) return;
+  {
+    MutexLock lock(mutex_);
+    // The session expiry (or a failed open_region) may have flipped the flag
+    // while the probe was out, or the id may have re-registered as a fresh
+    // incarnation. Whichever report flips the flag enqueues the handling;
+    // the other coalesces here, exactly as on_session_event does.
+    auto it = server_alive_.find(server_id);
+    if (!it->second || servers_.at(server_id) != stub) return;
+    it->second = false;
+    ++in_flight_recoveries_;
+  }
+  global_counter("master.takeovers_on_proof").add();
+  // The probe answers ServerDown only after crash() has run, and crashed()
+  // is sticky, so this counter must stay 0: a proof takeover of a server
+  // that is still running would break the lease argument (DESIGN §6a).
+  if (!stub->crashed()) global_counter("master.proof_takeovers_of_live_servers").add();
+  TFR_LOG(INFO, "master") << "server " << server_id << " FAILED (crash proven by probe)";
+  failures_.push({server_id, true});
 }
 
 void Master::recovery_worker() {
@@ -915,25 +946,11 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
         }
         TFR_LOG(WARN, "master") << "open_region " << loc.region_name << " on " << target
                                 << " failed: " << s << "; retrying elsewhere";
-        bool report_dead = false;
-        {
-          MutexLock lock(mutex_);
-          // Treat the uncooperative target as suspect only if it is dead;
-          // otherwise (e.g. already-open race) move on. Marking it dead is
-          // not enough: the flag must come with a failure report, because
-          // on_session_event coalesces on the flag — if we flip it silently
-          // here, the coord expiry that arrives moments later is dropped as
-          // "already handled" and the server's own regions are never
-          // recovered (the cascade wedge). Whichever of this path and the
-          // expiry flips the flag first enqueues the handling; the other
-          // coalesces, and downs_handled_ absorbs duplicates beyond that.
-          if (!stub->alive() && server_alive_[target]) {
-            server_alive_[target] = false;
-            ++in_flight_recoveries_;
-            report_dead = true;
-          }
-        }
-        if (report_dead) failures_.push({target, true});
+        // The uncooperative target is suspect. The probe decides: a crashed
+        // target is taken over now (its own regions need recovery too — the
+        // cascade), a live or cleanly-stopping one is left alone (e.g. an
+        // already-open race) and this loop simply moves on.
+        suspect_server(target);
         sleep_millis(1);
       }
     }

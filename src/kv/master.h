@@ -1,9 +1,13 @@
 // Master — coordinates region assignment across region servers (§2.1) and
 // drives the store's internal recovery when a server dies:
 //
-//   1. The coordination service reports the server's session expiry (HBase
-//      uses its own heartbeats; ours flow through minizk as the paper's
-//      implementation does).
+//   1. The server is declared dead on one of two triggers. Proof: a
+//      client's RPC bounced off it with ServerDown and the master's own
+//      probe confirms the crash (suspect_server) — no wait. Silence: the
+//      coordination service reports the server's session expiry (HBase uses
+//      its own heartbeats; ours flow through minizk as the paper's
+//      implementation does) — a timeout, partition or stalled heartbeat
+//      thread waits out the TTL. Either way the takeover below is fenced.
 //   2. The master notifies the recovery-middleware hook (`on_server_failure`)
 //      — the hook the paper added to the HBase master (§3.2).
 //   3. It splits the failed server's WAL by region and reassigns each region
@@ -92,6 +96,10 @@ struct RegionLocation {
   /// by the master before every reassignment or recovery replay.
   std::uint64_t epoch = 1;
 };
+
+/// The master's node id, matched against partition rules (common/fault.h)
+/// when it probes a server.
+inline constexpr const char* kMasterNodeId = "master";
 
 /// Coord-KV prefix under which the master durably records region epochs.
 inline constexpr const char* kEpochPrefix = "/tfr/epoch/";
@@ -216,6 +224,15 @@ class Master {
   /// re-reported while (or after) its recovery is in flight does not start
   /// a second WAL split.
   void report_server_down(const std::string& server_id, bool crashed);
+
+  /// `server_id` answered an RPC with ServerDown. Probe it (one RPC hop, with
+  /// the master mutex released) and, if the probe proves the crash, take the
+  /// server over now: the same failure report a session expiry makes, without
+  /// waiting out the TTL. Returns at once if the server is already handled,
+  /// so repeat reports coalesce. A probe that finds the server running,
+  /// partitioned or shutting down proves nothing; that server is left to its
+  /// session.
+  void suspect_server(const std::string& server_id);
 
   /// Install (or clear, with nullptr) the recovery-middleware hooks. Blocks
   /// until no hook invocation is in flight, so after it returns the previous

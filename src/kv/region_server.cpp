@@ -100,8 +100,23 @@ void RegionServer::crash() {
   }
   wal_->crash();  // the un-synced tail is gone
   cache_.clear();
+  crashed_.store(true, std::memory_order_release);
   TFR_LOG(INFO, "rs") << id_ << " CRASHED (synced wal seq " << wal_->synced_seq() << "/"
                       << wal_->appended_seq() << ")";
+}
+
+Status RegionServer::down_status() const {
+  if (crashed()) return Status::server_down("server crashed: " + id_);
+  return Status::unavailable("server stopping: " + id_);
+}
+
+Status RegionServer::probe(const std::string& caller) {
+  TFR_BLOCKING_POINT("rpc.probe");
+  rpc_model_.charge();
+  if (fault_ != nullptr) {
+    TFR_RETURN_IF_ERROR(fault_->check_partition(FaultOp::kRpcProbe, caller, id_));
+  }
+  return crashed() ? down_status() : Status::ok();
 }
 
 void RegionServer::heartbeat_tick() {
@@ -299,9 +314,9 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
                                decoded.status().message());
   }
 
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   SemaphoreGuard slot(handlers_);
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
 
   batch_rpcs.add();
   batch_slices.add(static_cast<std::int64_t>(decoded.value().slices.size()));
@@ -399,9 +414,9 @@ std::vector<Status> RegionServer::apply_frame(const std::vector<ApplyRequest>& s
   if (!alive()) {
     // Crashed under the frame: an append may have hit the WAL segment the
     // crash closed (Closed), and whatever did land went with the un-synced
-    // tail. No slice counts as received; the client re-sends every one
-    // (reapplication is idempotent).
-    for (Status& s : statuses) s = Status::unavailable("server crashed during apply: " + id_);
+    // tail. No slice counts as received; every one answers the retryable
+    // down status and the client re-sends it (reapplication is idempotent).
+    for (Status& s : statuses) s = down_status();
     return statuses;
   }
 
@@ -438,10 +453,10 @@ Result<std::optional<Cell>> RegionServer::get(const std::string& table, const st
     TFR_RETURN_IF_ERROR(fault_->check_partition(FaultOp::kRpcGet, caller, id_));
     TFR_RETURN_IF_ERROR(fault_->check(FaultOp::kRpcGet, id_));
   }
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto result = [&]() -> Result<std::optional<Cell>> {
     SemaphoreGuard slot(handlers_);
-    if (!alive()) return Status::unavailable("server down: " + id_);
+    if (!alive()) return down_status();
     auto region = region_for(table, row);
     if (!region) return Status::unavailable("row not hosted on " + id_ + ": " + row);
     if (region->state() != RegionState::kOnline) {
@@ -468,9 +483,9 @@ Result<std::vector<Cell>> RegionServer::scan(const std::string& table, const std
     TFR_RETURN_IF_ERROR(fault_->check_partition(FaultOp::kRpcScan, caller, id_));
     TFR_RETURN_IF_ERROR(fault_->check(FaultOp::kRpcScan, id_));
   }
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   SemaphoreGuard slot(handlers_);
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto region = region_for(table, start);
   if (!region) return Status::unavailable("start row not hosted on " + id_ + ": " + start);
   if (region->state() != RegionState::kOnline) {
@@ -500,7 +515,7 @@ Result<std::vector<Cell>> RegionServer::scan(const std::string& table, const std
 Status RegionServer::open_region(const RegionDescriptor& desc,
                                  const std::vector<WalRecord>& recovered_edits,
                                  std::uint64_t epoch) {
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto region = std::make_shared<Region>(desc, *dfs_, cache_, config_.store_block_bytes);
   region->set_epoch(epoch);
   region->set_epoch_registry(epochs_);
@@ -547,7 +562,7 @@ Status RegionServer::open_region(const RegionDescriptor& desc,
     region->set_state(RegionState::kGated);
     gate(desc.name(), id_);
   }
-  if (!alive()) return Status::unavailable("server died while opening " + desc.name());
+  if (!alive()) return down_status();
   region->set_state(RegionState::kOnline);
   TFR_LOG(INFO, "rs") << id_ << " region online: " << desc.name();
   return Status::ok();
@@ -568,7 +583,7 @@ std::string ref_marker_name(std::size_t index) {
 
 Result<std::pair<RegionDescriptor, RegionDescriptor>> RegionServer::split_region(
     const std::string& region_name) {
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto parent = region(region_name);
   if (!parent) return Status::not_found("region not open: " + region_name);
   if (parent->state() != RegionState::kOnline) {
@@ -640,7 +655,7 @@ Result<std::pair<RegionDescriptor, RegionDescriptor>> RegionServer::split_region
 
 Result<RegionDescriptor> RegionServer::merge_regions(const std::string& left_name,
                                                      const std::string& right_name) {
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto left = region(left_name);
   auto right = region(right_name);
   if (!left || !right) {
@@ -705,7 +720,7 @@ Result<RegionDescriptor> RegionServer::merge_regions(const std::string& left_nam
 }
 
 Status RegionServer::offload_region(const std::string& region_name) {
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   auto target = region(region_name);
   if (!target) return Status::not_found("region not open: " + region_name);
   target->set_state(RegionState::kOffline);
@@ -733,7 +748,7 @@ Status RegionServer::close_region(const std::string& region_name) {
 
 Status RegionServer::persist_wal() {
   TFR_BLOCKING_POINT("rpc.persist_wal");
-  if (!alive()) return Status::unavailable("server down: " + id_);
+  if (!alive()) return down_status();
   return wal_->sync();
 }
 

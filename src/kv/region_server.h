@@ -129,11 +129,16 @@ class RegionServer {
   /// send a pre-shutdown heartbeat, unregister.
   Status shutdown();
 
-  /// Crash failure: the memstores and the un-synced WAL tail are lost, RPCs
-  /// start failing, heartbeats cease (the master will detect expiry).
+  /// Crash failure: the memstores and the un-synced WAL tail are lost,
+  /// heartbeats cease, and every RPC answers ServerDown — the proof a client
+  /// reports to the master (Master::suspect_server), which takes over without
+  /// waiting out the session TTL. The self-fence ends here too.
   void crash();
 
   bool alive() const { return alive_.load(std::memory_order_acquire); }
+  /// Sticky: set once crash() has finished, never by shutdown() (which also
+  /// clears alive() before it flushes).
+  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
   // --- RPC surface ---------------------------------------------------------
 
@@ -157,6 +162,12 @@ class RegionServer {
   TFR_BLOCKING Result<std::vector<Cell>> scan(const std::string& table, const std::string& start,
                                  const std::string& end, Timestamp read_ts, std::size_t limit,
                                  const std::string& caller = {});
+
+  /// The master's crash check, one modeled hop like any RPC: ServerDown iff
+  /// this server has crashed, Unavailable if `caller` is partitioned from it
+  /// (silence proves nothing), Ok otherwise — a server in clean shutdown
+  /// included.
+  TFR_BLOCKING Status probe(const std::string& caller);
 
   /// Open a region on this server: attach store files, replay split-WAL
   /// edits (internal recovery), run the region gate, declare online.
@@ -274,12 +285,15 @@ class RegionServer {
   /// The post-transport core of apply_batch: apply every slice, then notify
   /// the write-set observer once for the whole frame. Caller has decoded the
   /// frame, checked liveness, and holds a handler slot. Returns one Status
-  /// per slice; every slice is Unavailable if the server died under the
+  /// per slice; every slice gets down_status() if the server died under the
   /// frame.
   std::vector<Status> apply_frame(const std::vector<ApplyRequest>& slices);
   /// One slice: WAL-append and apply to the memstores of its regions.
   Status apply_slice(const ApplyRequest& req);
   void heartbeat_tick();
+  /// What an RPC to a server that is not alive answers: ServerDown once it
+  /// has crashed, a plain Unavailable while it shuts down (or is mid-crash).
+  Status down_status() const;
   /// Publish the per-server load report + per-region traffic gauges.
   void report_load();
   /// Stop serving because the coord lease could not be renewed within the
@@ -298,6 +312,7 @@ class RegionServer {
   const EpochRegistry* epochs_ = nullptr;
 
   std::atomic<bool> alive_{false};
+  std::atomic<bool> crashed_{false};
   /// Timestamp taken just BEFORE the last successful lease renewal was sent,
   /// so our expiry estimate is conservative with respect to the coordination
   /// service's (which measures from receipt).

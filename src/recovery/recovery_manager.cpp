@@ -154,6 +154,12 @@ Timestamp RecoveryManager::compute_tp_locked() const {
 }
 
 void RecoveryManager::publish_locked() {
+  // Never publish from a registry that misses a live session: with a client
+  // not yet ingested, TF would run past that client's unflushed commits (and
+  // the TM-log checkpoint would then truncate what its recovery replays).
+  // Failures are detected within an RPC of the crash, so a recovery can
+  // publish before the first poll has seen every session.
+  ingest_sessions_locked();
   const Timestamp tf = compute_tf_locked();
   published_tf_.store(tf, std::memory_order_release);
   const Timestamp tp = compute_tp_locked();
@@ -164,12 +170,17 @@ void RecoveryManager::publish_locked() {
 }
 
 void RecoveryManager::poll_tick() {
+  MutexLock lock(mutex_);
+  publish_locked();
+  ++stats_.threshold_refreshes;
+}
+
+void RecoveryManager::ingest_sessions_locked() {
   // mutex_ is held across snapshot + ingest + publish so a session that
   // departs concurrently (its listener erases the registry entry under this
   // same mutex) cannot be resurrected by a stale snapshot — the registry
   // stripes synchronize individual updates, but the erase-vs-reinsert
   // ordering needs the RM mutex.
-  MutexLock lock(mutex_);
   // Ingest the latest piggybacked thresholds. Client TF(c) is monotonic
   // (max-merge); server TP(s) can be *lowered* by inheritance, so take it
   // verbatim.
@@ -180,14 +191,13 @@ void RecoveryManager::poll_tick() {
     if (auto tfc = client_tf_.get(s.name)) coord_->put(kClientRegistryPrefix + s.name, *tfc);
   }
   for (const auto& s : coord_->live_sessions("servers")) {
-    // A failure the master detected early (failed open_region) can be fully
-    // handled while the dead server's session is still ticking down; its
-    // stale payload must not resurrect the erased registry entry.
+    // A failure the master proved early (a crashed server answering an RPC
+    // with ServerDown) is usually fully handled while the dead server's
+    // session is still ticking down; its stale payload must not resurrect
+    // the erased registry entry.
     if (failed_servers_.count(s.name)) continue;
     server_tp_.set(s.name, s.payload);
   }
-  publish_locked();
-  ++stats_.threshold_refreshes;
 }
 
 Timestamp RecoveryManager::global_tf() const {
@@ -304,13 +314,14 @@ void RecoveryManager::on_server_failure(const std::string& server_id,
     tpr = *tps;
     server_tp_.erase(server_id);
   }
-  // If the master detected this death early (failed open_region), the dead
-  // server's session may still be ticking down. Keep the erase effective
-  // until it actually expires: the poll ingest and the expiry event both
-  // skip tombstoned servers (see poll_tick and on_server_session), otherwise
-  // the stale session — or the expiry event's own final-payload record —
-  // would re-insert the entry and pin the global TP at the dead server's
-  // last payload forever. When the expiry already dispatched, the tombstone
+  // If the master proved this death early (a ServerDown answer confirmed by
+  // its probe, from a client's RPC or a failed open_region), the dead
+  // server's session is still ticking down. Keep the erase effective until
+  // it actually expires: the session ingest and the expiry event both skip
+  // tombstoned servers (see ingest_sessions_locked and on_server_session),
+  // otherwise the stale session — or the expiry event's own final-payload
+  // record — would re-insert the entry and pin the global TP at the dead
+  // server's last payload forever. When the expiry already dispatched, the tombstone
   // simply lingers; servers never re-open a session under a prior name, so
   // it shadows nothing (a restartable-server follow-on would need session
   // incarnation ids here).

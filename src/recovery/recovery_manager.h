@@ -167,6 +167,9 @@ class RecoveryManager : public MasterHooks {
   void on_client_session(const SessionInfo& info, bool expired);
   void on_server_session(const SessionInfo& info, bool expired);
   void recover_client(const std::string& client_id, Timestamp tfr);
+  /// Pull every live session's latest payload into registries C and S.
+  void ingest_sessions_locked() TFR_REQUIRES(mutex_);
+  /// Ingest, then recompute and publish TF/TP and checkpoint the TM log.
   void publish_locked() TFR_REQUIRES(mutex_);
   Timestamp compute_tf_locked() const TFR_REQUIRES(mutex_);
   Timestamp compute_tp_locked() const TFR_REQUIRES(mutex_);
@@ -208,8 +211,8 @@ class RecoveryManager : public MasterHooks {
   std::map<std::string, PendingRegion> pending_regions_ TFR_GUARDED_BY(mutex_);
 
   /// Tombstones for servers whose failure was already handled but whose
-  /// coordination session has not expired yet (the master can detect a death
-  /// early, from a failed open_region). Without them, poll_tick's ingest of
+  /// coordination session has not expired yet (the master takes a crashed
+  /// server over on proof, before its TTL). Without them, the ingest of
   /// the stale still-live session — or the eventual expiry event itself —
   /// would resurrect the erased server_tp_ entry and pin the global TP at
   /// the dead server's last payload forever. The expiry event consumes the

@@ -110,8 +110,9 @@ class Testbed {
 
   /// Block until the recovery manager has *started* handling at least
   /// `count` server (resp. client) failures. Failure detection is
-  /// asynchronous (missed heartbeats), so call this after crash_server /
-  /// crash_client and before wait_for_recovery. Returns false on timeout.
+  /// asynchronous (the first RPC to a crashed server, or missed heartbeats),
+  /// so call this after crash_server / crash_client and before
+  /// wait_for_recovery. Returns false on timeout.
   bool wait_server_recoveries(std::int64_t count, Micros timeout = seconds(30));
   bool wait_client_recoveries(std::int64_t count, Micros timeout = seconds(30));
 

@@ -33,6 +33,19 @@ TEST(StatusTest, PredicatesMatchCodes) {
   EXPECT_FALSE(Status::ok().is_not_found());
 }
 
+TEST(StatusTest, ServerDownIsARetryableRefinementOfUnavailable) {
+  const Status down = Status::server_down("rs1");
+  EXPECT_EQ(down.code(), Code::kServerDown);
+  EXPECT_TRUE(down.is_server_down());
+  // Every retry loop keys on is_unavailable(), so it must hold for the
+  // refinement too; the reverse must not, or a moved region would read as
+  // proof of a crash.
+  EXPECT_TRUE(down.is_unavailable());
+  EXPECT_FALSE(Status::unavailable("region offline").is_server_down());
+  EXPECT_FALSE(Status::wrong_epoch("stale").is_server_down());
+  EXPECT_EQ(down.to_string(), "ServerDown: rs1");
+}
+
 TEST(StatusTest, ToStringIncludesCodeAndMessage) {
   EXPECT_EQ(Status::unavailable("server down").to_string(), "Unavailable: server down");
 }

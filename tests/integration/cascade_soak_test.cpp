@@ -305,6 +305,9 @@ TEST_P(CascadeSoakTest, SecondFailureDuringRecoveryNeverLosesGcdWriteSets) {
   const FaultStats fs = bed.fault().stats();
   EXPECT_GT(fs.evaluations, 0);
   EXPECT_EQ(global_counter("master.wal_split_failures").get(), 0);
+  // A crash here may be taken over on proof; the probe must never take
+  // a running server for a crashed one.
+  EXPECT_EQ(global_counter("master.proof_takeovers_of_live_servers").get(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadeSoakTest,

@@ -257,6 +257,9 @@ TEST_P(ChaosSoakTest, CommittedTransactionsSurviveGrayFailuresAndCrashes) {
   EXPECT_GT(fs.injected_errors + fs.dropped_responses + fs.corrupted_wires, 0);
   // A WAL-split give-up would have silently dropped durable edits.
   EXPECT_EQ(global_counter("master.wal_split_failures").get(), 0);
+  // A crash here may be taken over on proof; the probe must never take
+  // a running server for a crashed one.
+  EXPECT_EQ(global_counter("master.proof_takeovers_of_live_servers").get(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoakTest,

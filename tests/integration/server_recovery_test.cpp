@@ -1,13 +1,19 @@
 // §3.2 — server failure handling: store-internal WAL-split recovery, the
 // region gate, transactional replay after TPr(s), TP inheritance across
-// cascading failures, and interrupted client flushes.
+// cascading failures, and interrupted client flushes; and the two detection
+// triggers — a crash is taken over on proof, silence only after the TTL.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <thread>
 
 #include "src/common/fault.h"
 #include "src/common/metrics.h"
+#include "src/common/random.h"
+#include "src/kv/kv_client.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -218,6 +224,54 @@ TEST_F(ServerRecoveryTest, CleanShutdownNeedsNoTransactionalReplay) {
   verify_rows(0, 20);
 }
 
+TEST_F(ServerRecoveryTest, CleanShutdownRacingReadsLeavesCleanly) {
+  // Readers keep hitting the server while it shuts down. A stopping server
+  // answers a plain Unavailable, never ServerDown, so no read can get it
+  // taken over as crashed: the master sees it leave cleanly — no WAL fence,
+  // no transactional replay.
+  constexpr int kRows = 60;
+  auto tss = commit_rows(0, kRows);
+  ASSERT_TRUE(bed_.client().wait_flushed());
+  RegionServer& server = bed_.cluster().server(host_of(Testbed::row_key(0)));
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  const std::int64_t proofs_before = proofs.get();
+  const std::int64_t expiries_before = expiries.get();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      KvClient reader(bed_.master(), millis(1));
+      for (int i = t; !stop.load(std::memory_order_acquire); i = (i + 1) % kRows) {
+        auto v = reader.get("t", Testbed::row_key(i), "c", tss.back());
+        ASSERT_TRUE(v.is_ok()) << v.status();
+        ASSERT_TRUE(v.value().has_value()) << "row " << i;
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (reads.load(std::memory_order_relaxed) < 20) sleep_micros(100);
+  EXPECT_TRUE(server.shutdown().is_ok());
+  const Micros deadline = now_micros() + seconds(10);
+  while (bed_.master().live_servers().size() == 3 && now_micros() < deadline) sleep_millis(1);
+  bed_.master().wait_for_idle();
+  const int reads_after_handover = reads.load(std::memory_order_relaxed);
+  while (reads.load(std::memory_order_relaxed) < reads_after_handover + 20) sleep_micros(100);
+  stop.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(bed_.master().live_servers().size(), 2u);
+  EXPECT_FALSE(bed_.cluster().dfs().is_fenced(server.wal_path()));
+  EXPECT_EQ(bed_.rm().stats().server_recoveries, 0);
+  EXPECT_EQ(bed_.rm().recovery_client_stats().region_writesets_replayed, 0);
+  EXPECT_EQ(proofs.get(), proofs_before);
+  EXPECT_EQ(expiries.get(), expiries_before);
+  ASSERT_TRUE(bed_.wait_stable(tss.back()));
+  verify_rows(0, kRows);
+}
+
 TEST_F(ServerRecoveryTest, SplitWalEditsCombineWithTmLogReplay) {
   // Partially persist: sync the WALs midway, then keep committing. After a
   // crash, the synced prefix returns via HBase's split-WAL recovery and the
@@ -393,6 +447,183 @@ TEST(InFlightApplyTest, CrashUnderAnInFlightFlushIsRetriedNotDropped) {
   EXPECT_EQ(*v.value(), "in-flight");
   r.abort();
 }
+
+/// Index of the server hosting `row` of table "t".
+int host_index(Testbed& bed, const std::string& row) {
+  const std::string host = bed.master().locate("t", row).value().server_id;
+  for (int i = 0; i < bed.cluster().num_servers(); ++i) {
+    if (bed.cluster().server(i).id() == host) return i;
+  }
+  ADD_FAILURE() << "no server hosts " << row;
+  return 0;
+}
+
+/// Commit `value-<i>` to row i for i in [0, rows) and wait until flushed;
+/// returns the last commit timestamp.
+Timestamp commit_and_flush(Testbed& bed, int rows) {
+  Timestamp last = kNoTimestamp;
+  for (int i = 0; i < rows; ++i) {
+    Transaction txn = bed.client().begin("t");
+    txn.put(Testbed::row_key(static_cast<std::uint64_t>(i)), "c", "value-" + std::to_string(i));
+    auto ts = txn.commit();
+    EXPECT_TRUE(ts.is_ok());
+    last = ts.value_or(last);
+  }
+  EXPECT_TRUE(bed.client().wait_flushed());
+  return last;
+}
+
+void expect_rows(Testbed& bed, int rows) {
+  Transaction r = bed.client().begin("t");
+  for (int i = 0; i < rows; ++i) {
+    auto v = r.get(Testbed::row_key(static_cast<std::uint64_t>(i)), "c");
+    ASSERT_TRUE(v.is_ok());
+    ASSERT_TRUE(v.value().has_value()) << "lost committed row " << i;
+    EXPECT_EQ(*v.value(), "value-" + std::to_string(i));
+  }
+  r.abort();
+}
+
+TEST(ProofTakeoverTest, CrashThenOneReadRecoversWellUnderTheTtl) {
+  // A 5 s session TTL: waiting it out would dominate the outage. The first
+  // read of a row the dead server hosted bounces with ServerDown, the master
+  // probes, and the fenced takeover starts at once.
+  TestbedConfig cfg = fast_test_config(3, 1);
+  cfg.cluster.server.session_ttl = seconds(5);
+  cfg.cluster.server.wal_sync_interval = seconds(100);  // the gate replays the tail
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+  constexpr int kRows = 60;
+  const Timestamp last = commit_and_flush(bed, kRows);
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  const std::int64_t proofs_before = proofs.get();
+  const std::int64_t expiries_before = expiries.get();
+
+  const Micros crashed_at = now_micros();
+  bed.crash_server(host_index(bed, Testbed::row_key(0)));
+  KvClient reader(bed.master(), millis(1));
+  auto v = reader.get("t", Testbed::row_key(0), "c", last);
+  ASSERT_TRUE(v.is_ok()) << v.status();
+  ASSERT_TRUE(v.value().has_value());
+  EXPECT_EQ(v.value()->value, "value-0");
+  ASSERT_TRUE(bed.wait_server_recoveries(1, seconds(4)));
+  bed.wait_for_recovery();
+  EXPECT_LT(now_micros() - crashed_at, seconds(1)) << "recovery waited for the session TTL";
+  EXPECT_EQ(proofs.get() - proofs_before, 1);
+  EXPECT_EQ(expiries.get(), expiries_before);
+  ASSERT_TRUE(bed.wait_stable(last));
+  expect_rows(bed, kRows);
+}
+
+TEST(ProofTakeoverTest, PartitionedLiveServerWaitsOutItsTtl) {
+  // Silence proves nothing. The victim is cut off from the coordination
+  // service, the master and every client, but keeps running: reads of its
+  // rows fail with a plain Unavailable, a crash report of it finds only a
+  // partition, and it is taken over no earlier than its lease lapses.
+  TestbedConfig cfg = fast_test_config(3, 1);
+  constexpr Micros kTtl = millis(600);
+  cfg.cluster.server.session_ttl = kTtl;
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+  constexpr int kRows = 20;
+  const Timestamp last = commit_and_flush(bed, kRows);
+  RegionServer& victim = bed.cluster().server(host_index(bed, Testbed::row_key(0)));
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  Counter& live_takeovers = global_counter("master.proof_takeovers_of_live_servers");
+  Counter& probes = global_counter("master.crash_probes");
+  const std::int64_t proofs_before = proofs.get();
+  const std::int64_t expiries_before = expiries.get();
+  const std::int64_t live_before = live_takeovers.get();
+  const std::int64_t probes_before = probes.get();
+
+  const int partition = bed.fault().add_partition(PartitionRule{victim.id(), "", true});
+  const auto session = bed.coord().session("servers", victim.id());
+  ASSERT_TRUE(session.has_value());
+  // No renewal can land after the cut, so the lease lapses TTL after this.
+  const Micros last_renewal = session->last_heartbeat;
+
+  KvClient reader(bed.master(), millis(1));
+  reader.set_client_id("reader");
+  auto v = reader.get("t", Testbed::row_key(0), "c", last, /*max_retries=*/5);
+  EXPECT_TRUE(v.status().is_unavailable()) << v.status();
+  EXPECT_EQ(probes.get(), probes_before) << "a partition answered ServerDown";
+  bed.master().suspect_server(victim.id());  // as a client that saw it would
+  EXPECT_EQ(probes.get() - probes_before, 1);
+  EXPECT_EQ(bed.master().live_servers().size(), 3u) << "taken over before its lease lapsed";
+
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  const Micros taken_over_at = now_micros();
+  std::printf("[ silence  ] partitioned live server taken over %.0f ms after its last renewal "
+              "(TTL %.0f ms)\n",
+              static_cast<double>(taken_over_at - last_renewal) / 1e3,
+              static_cast<double>(kTtl) / 1e3);
+  EXPECT_GE(taken_over_at, last_renewal + kTtl) << "taken over before its TTL";
+  EXPECT_EQ(proofs.get(), proofs_before);
+  EXPECT_EQ(expiries.get() - expiries_before, 1);
+  EXPECT_EQ(live_takeovers.get(), live_before);
+  bed.fault().heal_partition(partition);
+  bed.wait_for_recovery();
+  ASSERT_TRUE(bed.wait_stable(last));
+  expect_rows(bed, kRows);
+}
+
+// A proof report and the session expiry race for the same crashed server:
+// the first read of its rows is aimed at the expiry, up to 10 ms to either
+// side (seed-derived). Whichever report flips the master's flag recovers the
+// server; the other coalesces, so the WAL split runs exactly once.
+// Reproduce one schedule by running the suite's /0 instance with
+// TFR_CHAOS_SEED=<seed>, as scripts/replay_seed_corpus.sh does.
+class ProofExpiryRaceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ProofExpiryRaceTest, OneWalSplitWhicheverReportWins) {
+  const char* env = std::getenv("TFR_CHAOS_SEED");
+  const std::uint64_t seed = env ? std::strtoull(env, nullptr, 10) : GetParam();
+  SCOPED_TRACE("race seed " + std::to_string(seed));
+  Rng rng(seed);
+  const Micros offset = millis(static_cast<std::int64_t>(rng.next_below(21)) - 10);
+  std::printf("[ race     ] seed %llu%s: read %+lld ms from the expiry\n",
+              static_cast<unsigned long long>(seed), env ? " (from TFR_CHAOS_SEED)" : "",
+              static_cast<long long>(offset / 1000));
+  TestbedConfig cfg = fast_test_config(3, 1);
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+  constexpr int kRows = 30;
+  const Timestamp last = commit_and_flush(bed, kRows);
+  Counter& splits = global_counter("master.wal_splits");
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  const std::int64_t splits_before = splits.get();
+  const std::int64_t proofs_before = proofs.get();
+  const std::int64_t takeovers_before = proofs_before + expiries.get();
+
+  const int victim = host_index(bed, Testbed::row_key(0));
+  bed.crash_server(victim);
+  const auto session = bed.coord().session("servers", bed.cluster().server(victim).id());
+  ASSERT_TRUE(session.has_value());
+  const Micros aim = session->last_heartbeat + cfg.cluster.server.session_ttl + offset;
+  while (now_micros() < aim) sleep_micros(200);
+  {
+    Transaction r = bed.client().begin("t");
+    auto v = r.get(Testbed::row_key(0), "c");
+    ASSERT_TRUE(v.is_ok()) << v.status();
+    r.abort();
+  }
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+  std::printf("[ race     ] taken over on %s\n", proofs.get() > proofs_before ? "proof" : "expiry");
+  EXPECT_EQ(proofs.get() + expiries.get() - takeovers_before, 1);
+  EXPECT_EQ(splits.get() - splits_before, 1);
+  EXPECT_EQ(global_counter("master.proof_takeovers_of_live_servers").get(), 0);
+  ASSERT_TRUE(bed.wait_stable(last));
+  expect_rows(bed, kRows);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProofExpiryRaceTest, ::testing::Range<std::uint64_t>(1, 5));
 
 }  // namespace
 }  // namespace tfr

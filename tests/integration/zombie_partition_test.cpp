@@ -5,8 +5,11 @@
 // master expires its session, bumps the ownership epoch of every region it
 // held, fences its WAL prefix, and reassigns; the zombie keeps serving
 // until either a stale-epoch append bounces (fencing token) or its own
-// conservative lease estimate lapses and it self-fences. The run asserts
-// that this takeover is harmless:
+// conservative lease estimate lapses and it self-fences. A self-fenced
+// zombie has crashed, so the master may instead take it over on proof (a
+// client RPC bounced with ServerDown, confirmed by the master's probe) —
+// but never while it is still live. The run asserts that this takeover is
+// harmless:
 //   * durability   — every committed transaction is readable (model check)
 //   * atomicity    — cross-region write-sets are never torn
 //   * monotonicity — published TF and TP never regress (monitor thread)
@@ -14,6 +17,8 @@
 //   * fencing      — the victim self-fenced, and no write acked by the old
 //                    incarnation after the epoch bump is visible anywhere
 //                    (a violation would surface as a model mismatch)
+//   * detection    — one takeover, no earlier than the victim's lease
+//                    lapsed, and never on proof while it was still live
 //
 // Seed count: 1 by default (ctest smoke); a soak sets TFR_ZOMBIE_SEEDS=N.
 // Reproduce one schedule with:  TFR_CHAOS_SEED=<seed> ./integration_tests \
@@ -99,6 +104,10 @@ TEST_P(ZombiePartitionTest, FencedTakeoverLeavesNoStaleWritesVisible) {
   ASSERT_TRUE(bed.create_table("t", kRows, 4).is_ok());
 
   const std::int64_t fences_before = global_counter("kv.self_fences").get();
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  const std::int64_t proofs_before = proofs.get();
+  const std::int64_t takeovers_before = proofs_before + expiries.get();
   const std::int64_t gauge_before = global_counter("fault.partitions_active").get();
 
   // --- reference model of successfully committed transactions ---------------
@@ -191,6 +200,10 @@ TEST_P(ZombiePartitionTest, FencedTakeoverLeavesNoStaleWritesVisible) {
   // writes while the rest of the cluster moves on without it.
   const int partition_id =
       bed.fault().add_partition(PartitionRule{victim, "coord", /*symmetric=*/true});
+  const auto session = bed.coord().session("servers", victim);
+  ASSERT_TRUE(session.has_value());
+  // No renewal can land after the cut, so the lease lapses TTL after this.
+  const Micros lease_lapses_at = session->last_heartbeat + cfg.cluster.server.session_ttl;
   // And paused: its heartbeat thread stalls (the classic GC pause), so the
   // conservative self-fence — which normally precedes the takeover — fires
   // late, and applies stall inside it, so a write that routed to the victim
@@ -215,9 +228,18 @@ TEST_P(ZombiePartitionTest, FencedTakeoverLeavesNoStaleWritesVisible) {
     bed.fault().add_rule(slow);
   }
 
-  // The master must detect the "failure" via session expiry and run a full
-  // fenced recovery (epoch bump, WAL fence + split, reassignment, replay).
+  // The master must detect the "failure" and run a full fenced recovery
+  // (epoch bump, WAL fence + split, reassignment, replay). Detection comes
+  // from the session expiry, or — once the zombie has self-fenced, i.e.
+  // crashed — from proof: a client RPC bounced off it with ServerDown and
+  // the master's probe confirmed it. Either way the live zombie waited out
+  // its lease, and it was taken over exactly once.
   ASSERT_TRUE(bed.wait_server_recoveries(1));
+  std::printf("[ zombie   ] taken over on %s\n", proofs.get() > proofs_before ? "proof" : "expiry");
+  EXPECT_GE(now_micros(), lease_lapses_at) << victim << " taken over before its TTL";
+  EXPECT_EQ(proofs.get() + expiries.get() - takeovers_before, 1);
+  EXPECT_EQ(global_counter("master.proof_takeovers_of_live_servers").get(), 0)
+      << "a proof takeover hit a server that was still live";
   // The zombie must take itself out of service without any help from the
   // coordination service: its conservative lease estimate lapses.
   const Micros fence_deadline = now_micros() + seconds(10);

@@ -1,11 +1,13 @@
-// KvClient mechanics: the unlimited-retry flush protocol, cancellation, and
-// bounded-retry flushes and reads.
+// KvClient mechanics: the unlimited-retry flush protocol, cancellation,
+// bounded-retry flushes and reads, and crash reports to the master.
 #include "src/kv/kv_client.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
+#include "src/common/metrics.h"
 #include "src/kv/cluster.h"
 
 namespace tfr {
@@ -127,6 +129,68 @@ TEST(KvClientTest, FlushRecoversWhenRegionComesBack) {
   ASSERT_TRUE(done.load());
   EXPECT_EQ(client.get("t", "apple", "c", 10).value()->value, "v7");
   EXPECT_EQ(client.get("t", "zebra", "c", 10).value()->value, "v7");
+}
+
+TEST(KvClientTest, ServerDownAnswersTriggerOneProbeEachAndRepeatsCoalesce) {
+  // A session TTL no test outlives: every takeover here is on proof.
+  ClusterConfig cfg = tiny_cluster(4);
+  cfg.server.session_ttl = seconds(60);
+  Cluster cluster(cfg);
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {"b", "c", "d"}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  ASSERT_TRUE(client.flush_writesets({ws_of(5, {"a", "b", "c", "d"})}).is_ok());
+  // No recovery middleware here: only what the WALs hold survives a crash.
+  for (int i = 0; i < cluster.num_servers(); ++i) {
+    ASSERT_TRUE(cluster.server(i).persist_wal().is_ok());
+  }
+
+  Counter& probes = global_counter("master.crash_probes");
+  Counter& proofs = global_counter("master.takeovers_on_proof");
+  Counter& expiries = global_counter("master.takeovers_on_expiry");
+  const std::int64_t expiries_before = expiries.get();
+  // Crash the host of `row` and run `op` against it: the first ServerDown
+  // answer costs one probe and one takeover; the retries after it, and any
+  // further report of the same server, cost nothing.
+  auto crash_host_then = [&](const std::string& row, const std::function<void()>& op) {
+    const std::string host = cluster.master().locate("t", row).value().server_id;
+    cluster.server_by_id(host)->crash();
+    const std::int64_t probes_before = probes.get();
+    const std::int64_t proofs_before = proofs.get();
+    op();
+    EXPECT_EQ(probes.get() - probes_before, 1) << row;
+    EXPECT_EQ(proofs.get() - proofs_before, 1) << row;
+    cluster.master().suspect_server(host);
+    op();
+    EXPECT_EQ(probes.get() - probes_before, 1) << "a repeat report of " << host << " probed";
+  };
+  crash_host_then("a", [&] {
+    auto v = client.get("t", "a", "c", 10);
+    ASSERT_TRUE(v.is_ok()) << v.status();
+    ASSERT_TRUE(v.value().has_value());
+    EXPECT_EQ(v.value()->value, "v5");
+  });
+  crash_host_then("b", [&] {
+    auto cells = client.scan("t", "b", "c", 10, 0);
+    ASSERT_TRUE(cells.is_ok()) << cells.status();
+    ASSERT_EQ(cells.value().size(), 1u);
+    EXPECT_EQ(cells.value()[0].value, "v5");
+  });
+  crash_host_then("c", [&] { EXPECT_TRUE(client.flush_writesets({ws_of(6, {"c"})}).is_ok()); });
+  EXPECT_EQ(expiries.get(), expiries_before);
+  EXPECT_EQ(global_counter("master.proof_takeovers_of_live_servers").get(), 0);
+}
+
+TEST(KvClientTest, ProbeOfARunningServerTakesNothingOver) {
+  Cluster cluster(tiny_cluster(2));
+  ASSERT_TRUE(cluster.start().is_ok());
+  Counter& probes = global_counter("master.crash_probes");
+  const std::int64_t probes_before = probes.get();
+  cluster.master().suspect_server(cluster.server(0).id());
+  EXPECT_EQ(probes.get() - probes_before, 1);
+  EXPECT_EQ(cluster.master().live_servers().size(), 2u);
+  cluster.master().suspect_server("no-such-server");
+  EXPECT_EQ(probes.get() - probes_before, 1) << "an unknown id is not probed";
 }
 
 }  // namespace

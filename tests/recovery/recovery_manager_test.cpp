@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/fault.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -160,6 +161,44 @@ TEST_F(RecoveryManagerTest, StatsCountRefreshes) {
   bed_.rm().refresh_now();
   bed_.rm().refresh_now();
   EXPECT_GE(bed_.rm().stats().threshold_refreshes, 2);
+}
+
+TEST(RecoveryManagerPublishTest, PublishBeforeAnyPollCountsEveryLiveClient) {
+  // A crash taken over on proof makes the RM publish (on_server_failure)
+  // long before a poll is due. TF must still be bounded by every live
+  // client's TF(c): a client the RM has not ingested yet would otherwise
+  // let TF — and the TM-log checkpoint — run past its unflushed commits.
+  TestbedConfig cfg = fast_test_config(3, 1);
+  cfg.recovery.poll_interval = seconds(100);  // no poll within the test
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 1000, 3).is_ok());
+  const std::string row = Testbed::row_key(0);
+  const std::string host = bed.master().locate("t", row).value().server_id;
+  FaultRule lost;  // the write-set below can never be flushed
+  lost.op = FaultOp::kRpcApply;
+  lost.target = host;
+  lost.error_probability = 1.0;
+  bed.fault().add_rule(lost);
+  Transaction txn = bed.client().begin("t");
+  txn.put(row, "c", "v");
+  auto ts = txn.commit();
+  ASSERT_TRUE(ts.is_ok());
+
+  int other = 0;
+  while (bed.cluster().server(other).id() == host) ++other;
+  bed.crash_server(other);
+  bed.master().suspect_server(bed.cluster().server(other).id());
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+  EXPECT_LT(bed.rm().global_tf(), ts.value());
+  bool retained = false;
+  for (const WriteSet& ws : bed.tm().log().fetch_client_after(bed.client().id(), kNoTimestamp)) {
+    retained = retained || ws.commit_ts == ts.value();
+  }
+  EXPECT_TRUE(retained) << "the unflushed write-set was truncated from the TM log";
+  bed.fault().clear_rules();
+  EXPECT_TRUE(bed.client().wait_flushed());
 }
 
 }  // namespace
