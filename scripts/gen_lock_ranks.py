@@ -65,9 +65,10 @@ RANKS = [
      "shutdown/split/offload flush memstores (DFS writes) under the "
      "directory lock so no region is added or dropped mid-operation"),
     ("kRegion", 160, "region", True, "region memstore/files",
-     "DFS, WAL refs, latency, logging",
+     "WAL append, DFS, latency, logging",
      "flush/compact finalize store files (DFS writes) under the region lock; "
-     "reads snapshot the file list and run unlocked"),
+     "a write's WAL append and memstore apply share it; reads snapshot the "
+     "file list and run unlocked"),
     ("kMaster", 150, "master", True, "master / failure detector",
      "region server ops, coord",
      "failure handling (WAL split reads, region reopen RPCs) runs under the "

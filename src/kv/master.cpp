@@ -795,13 +795,15 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
   }
 
   // HBase log splitting: group the failed server's durable WAL records by
-  // region (§2.1), fanning out per source segment across Wal::split's
-  // worker pool. Clean shutdowns flushed their memstores, so their edits
-  // are redundant — replaying them anyway is idempotent and exercises the
-  // same path. The split is all-or-nothing: a worker that exhausts its
-  // per-segment retries fails the whole split, and this outer loop retries
-  // it from scratch — assigning regions from a partial edit map would
-  // silently drop *durable* edits.
+  // region (§2.1). Wal::split's worker pool fans out over block-aligned
+  // reads of every live segment, so the split costs about the WAL's blocks
+  // divided by the workers, and the server's rolls leave it only the
+  // segments holding un-flushed edits. Clean shutdowns flushed their
+  // memstores, so their edits are redundant — replaying them anyway is
+  // idempotent and exercises the same path. The split is all-or-nothing:
+  // a block read that exhausts its retries fails the whole split, and this
+  // outer loop retries it from scratch — assigning regions from a partial
+  // edit map would silently drop *durable* edits.
   const Micros split_start = now_micros();
   std::map<std::string, std::vector<WalRecord>> edits;
   if (!wal_path.empty()) {

@@ -86,19 +86,24 @@ Status Region::load_store_files() {
   return Status::ok();
 }
 
-bool Region::apply(const std::vector<Cell>& cells, std::uint64_t wal_seq) {
+Status Region::apply(const std::vector<Cell>& cells, const WalLogger& log) {
   MutexLock lock(mutex_);
   // Reject under the same lock a topology transition's fencing flush holds:
   // once a split/merge/offload has marked the region offline and drained
   // the memstore, a racing apply must not repopulate it — the cells would
   // be dropped with the region object. The caller surfaces Unavailable and
-  // the client re-locates; the already-written WAL record is harmless
-  // (replay is idempotent and the write was never acked).
-  if (state_.load(std::memory_order_acquire) == RegionState::kOffline) return false;
+  // the client re-locates.
+  if (state_.load(std::memory_order_acquire) == RegionState::kOffline) {
+    return Status::unavailable("region " + name() + " is offline");
+  }
+  if (log) {
+    auto wal_seq = log();
+    if (!wal_seq.is_ok()) return wal_seq.status();
+    if (min_unflushed_wal_seq_ == 0) min_unflushed_wal_seq_ = wal_seq.value();
+  }
   for (const auto& c : cells) memstore_.apply(c);
-  if (wal_seq != 0 && min_unflushed_wal_seq_ == 0) min_unflushed_wal_seq_ = wal_seq;
   write_ops_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return Status::ok();
 }
 
 std::uint64_t Region::min_unflushed_wal_seq() const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -72,17 +73,26 @@ class Region {
   /// later rewrites the data locally and drops the markers.
   Status load_store_files();
 
-  /// Apply already-WAL-logged cells to the memstore. `wal_seq` (when
-  /// non-zero) is the sequence number of the WAL record carrying these
-  /// cells; the region remembers the oldest un-flushed one so the server
-  /// knows which WAL segments are still needed (truncation bound).
+  /// Appends the WAL record carrying some cells and returns its sequence
+  /// number.
+  using WalLogger = std::function<Result<std::uint64_t>()>;
+
+  /// WAL-log `cells` with `log` (when set), then apply them to the memstore,
+  /// both under the region mutex. The region remembers the oldest
+  /// un-flushed sequence number so the server knows which WAL segments are
+  /// still needed (truncation bound). Holding the mutex across the append
+  /// and the apply is what makes that bound safe: a reader of
+  /// min_unflushed_wal_seq() that starts after the append finds the record
+  /// in the memstore (pinning its segment) or in a store file, never in
+  /// neither.
   ///
-  /// Returns false — nothing applied — when the region is kOffline. The
-  /// check runs under the region mutex, the same lock a split/merge/move's
-  /// fencing flush holds: an apply racing the transition either lands
-  /// before the flush snapshot (and is captured by it) or is rejected here,
-  /// never silently left behind in a memstore about to be dropped.
-  [[nodiscard]] bool apply(const std::vector<Cell>& cells, std::uint64_t wal_seq = 0);
+  /// Unavailable — nothing logged or applied — when the region is
+  /// kOffline; a failed append is returned as is, nothing applied. The
+  /// check runs under the same lock a split/merge/move's fencing flush
+  /// holds: an apply racing the transition either lands before the flush
+  /// snapshot (and is captured by it) or is rejected here, never silently
+  /// left behind in a memstore about to be dropped.
+  [[nodiscard]] Status apply(const std::vector<Cell>& cells, const WalLogger& log = nullptr);
 
   /// Sequence number of the oldest WAL record whose cells are only in the
   /// memstore (0 when everything is flushed to store files).

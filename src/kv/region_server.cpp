@@ -243,6 +243,9 @@ void RegionServer::wal_sync_tick() {
 std::uint64_t RegionServer::wal_truncation_bound() const {
   // A segment is reclaimable once every region's un-flushed edits start
   // after it. Regions whose memstore is fully flushed do not constrain.
+  // Read the appended frontier first: a record at or below it was appended
+  // under its region's mutex (Region::apply), so the region reads below
+  // see it in the memstore or in a store file.
   std::uint64_t bound = wal_->appended_seq() + 1;
   ReaderLock lock(regions_mutex_);
   for (const auto& [name, region] : regions_) {
@@ -254,13 +257,18 @@ std::uint64_t RegionServer::wal_truncation_bound() const {
 
 void RegionServer::maybe_roll_wal() {
   if (!alive()) return;
-  if (wal_->current_segment_bytes() > config_.wal_segment_bytes) {
+  // One bound for both decisions. Besides the size trigger, roll an open
+  // segment whose records are all flushed, so truncate_obsolete reclaims
+  // it and a fully flushed server leaves nothing for a split to read.
+  const std::uint64_t bound = wal_truncation_bound();
+  if (wal_->current_segment_bytes() > config_.wal_segment_bytes ||
+      wal_->open_segment_obsolete(bound)) {
     if (Status s = wal_->roll(); !s.is_ok()) {
       TFR_LOG(WARN, "rs") << id_ << " WAL roll failed: " << s;
       return;
     }
   }
-  wal_->truncate_obsolete(wal_truncation_bound());
+  wal_->truncate_obsolete(bound);
 }
 
 std::shared_ptr<Region> RegionServer::region_for(const std::string& table,
@@ -360,24 +368,18 @@ Status RegionServer::apply_slice(const ApplyRequest& req) {
     record.commit_ts = req.commit_ts;
     record.epoch = region->epoch();
     record.cells = cells;
-    auto seq = wal_->append(std::move(record));
-    if (!seq.is_ok()) {
-      if (seq.status().is_wrong_epoch()) {
-        // Our ownership epoch is stale: the master has fenced this region
-        // (we are a zombie). Stop serving it; the client relocates.
-        TFR_LOG(WARN, "rs") << id_ << " fenced out of " << region->name()
-                            << "; taking the region offline";
-        region->set_state(RegionState::kOffline);
-      }
-      return seq.status();
+    // If the region went offline since the admission check above (a
+    // split/merge/move fenced it), nothing is logged or applied and the
+    // client re-locates.
+    Status applied = region->apply(cells, [&] { return wal_->append(std::move(record)); });
+    if (applied.is_wrong_epoch()) {
+      // Our ownership epoch is stale: the master has fenced this region
+      // (we are a zombie). Stop serving it; the client relocates.
+      TFR_LOG(WARN, "rs") << id_ << " fenced out of " << region->name()
+                          << "; taking the region offline";
+      region->set_state(RegionState::kOffline);
     }
-    if (!region->apply(cells, seq.value())) {
-      // The region went offline between the admission check above and this
-      // apply — a split/merge/move fenced it. Nothing landed in the
-      // memstore, and the WAL record just appended is harmless: the write
-      // is unacked and reapplication is idempotent. The client re-locates.
-      return Status::unavailable("region " + region->name() + " went offline during apply");
-    }
+    TFR_RETURN_IF_ERROR(applied);
     if (region->memstore_bytes() > config_.memstore_flush_bytes) {
       Status flushed = region->flush_memstore();
       if (!flushed.is_ok()) {
@@ -537,13 +539,10 @@ Status RegionServer::open_region(const RegionDescriptor& desc,
     WalRecord record = edit;
     record.region = desc.name();
     record.epoch = epoch;
-    auto seq = wal_->append(std::move(record));
-    if (!seq.is_ok()) return seq.status();
-    if (!region->apply(edit.cells, seq.value())) {
-      // Only possible if this server crashed mid-open (crash() forces every
-      // region offline); the open fails and recovery re-homes the region.
-      return Status::unavailable("region " + desc.name() + " went offline during replay");
-    }
+    // Offline only if this server crashed mid-open (crash() forces every
+    // region offline); the open fails and recovery re-homes the region.
+    TFR_RETURN_IF_ERROR(
+        region->apply(edit.cells, [&] { return wal_->append(std::move(record)); }));
   }
   if (!recovered_edits.empty()) {
     TFR_RETURN_IF_ERROR(wal_->sync());

@@ -56,8 +56,9 @@ struct RegionServerConfig {
   bool sync_wal_on_write = false;
   Micros wal_sync_interval = millis(50);
 
-  /// Roll the WAL once the open segment exceeds this; closed segments whose
-  /// edits have all been flushed to store files are reclaimed.
+  /// Roll the WAL once the open segment exceeds this (or once every record
+  /// in it is flushed); closed segments whose edits have all been flushed
+  /// to store files are reclaimed.
   std::uint64_t wal_segment_bytes = 8ull << 20;
 
   std::size_t memstore_flush_bytes = 64ull << 20;
@@ -182,9 +183,10 @@ class RegionServer {
   /// Sync the WAL to the DFS — the "persist" step of Algorithm 3.
   TFR_BLOCKING Status persist_wal();
 
-  /// Roll the WAL if the open segment is over the size threshold, then
-  /// reclaim segments made obsolete by memstore flushes. Runs periodically;
-  /// exposed for tests.
+  /// Roll the WAL if the open segment is over the size threshold or holds
+  /// only flushed records, then reclaim segments made obsolete by memstore
+  /// flushes. Runs periodically and after each memstore flush; exposed for
+  /// tests.
   void maybe_roll_wal();
 
   /// The server-local half of a region split: fence the parent (applies

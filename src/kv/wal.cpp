@@ -202,6 +202,12 @@ std::uint64_t Wal::current_segment_bytes() const {
   return segments_.back().bytes;
 }
 
+bool Wal::open_segment_obsolete(std::uint64_t min_needed_seq) const {
+  MutexLock lock(mutex_);
+  const Segment& open = segments_.back();
+  return open.first_seq != 0 && open.last_seq < min_needed_seq;
+}
+
 void Wal::crash() {
   MutexLock lock(mutex_);
   // Closed segments were normally synced by roll(), so only the open one
@@ -226,11 +232,9 @@ namespace {
 
 /// Decode every whole frame of one durable segment. A torn final frame
 /// (sync raced a crash) truncates; a checksum mismatch is corruption.
-Result<std::vector<WalRecord>> read_segment(Dfs& dfs, const std::string& path) {
-  auto data = dfs.read_all(path);
-  if (!data.is_ok()) return data.status();
-  std::vector<WalRecord> out;
-  Decoder dec(data.value());
+Status decode_segment(const std::string& path, std::string_view data,
+                      std::vector<WalRecord>* out) {
+  Decoder dec(data);
   while (!dec.done()) {
     std::string payload;
     const auto before = dec.position();
@@ -248,28 +252,86 @@ Result<std::vector<WalRecord>> read_segment(Dfs& dfs, const std::string& path) {
     }
     auto rec = WalRecord::decode(payload);
     if (!rec.is_ok()) return rec.status();
-    out.push_back(std::move(rec).value());
+    out->push_back(std::move(rec).value());
   }
+  return Status::ok();
+}
+
+/// Every durable record under `base_path`, in sequence order. Workers claim
+/// one block-aligned read at a time off a shared cursor, across all
+/// segments; each read retries Unavailable a bounded number of times. Each
+/// block lands in its own slot, written by exactly one worker and read only
+/// after the join.
+Result<std::vector<WalRecord>> read_durable(Dfs& dfs, const std::string& base_path,
+                                            const Wal::SplitOptions& options) {
+  // Live segments are whatever still exists under the base path, in index
+  // (and therefore sequence) order.
+  auto paths = dfs.list(base_path + ".");
+  if (paths.empty()) return Status::not_found("no WAL segments under " + base_path);
+  std::sort(paths.begin(), paths.end());
+
+  struct BlockRead {
+    std::size_t segment;
+    std::uint64_t offset;
+  };
+  const std::uint64_t block = dfs.config().block_size;
+  std::vector<BlockRead> reads;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    auto size = dfs.durable_size(paths[i]);
+    if (!size.is_ok()) return size.status();
+    for (std::uint64_t offset = 0; offset < size.value(); offset += block) {
+      reads.push_back(BlockRead{i, offset});
+    }
+  }
+
+  std::vector<Result<std::string>> blocks(reads.size(),
+                                          Result<std::string>(Status::internal("block not read")));
+  std::atomic<std::size_t> cursor{0};
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (k >= reads.size()) return;
+      const BlockRead& r = reads[k];
+      Backoff backoff(options.backoff_base, options.backoff_cap);
+      auto data = dfs.read(paths[r.segment], r.offset, block);
+      while (!data.is_ok() && data.status().is_unavailable() &&
+             backoff.attempts() + 1 < options.attempts_per_read) {
+        backoff.sleep();
+        data = dfs.read(paths[r.segment], r.offset, block);
+      }
+      blocks[k] = std::move(data);
+    }
+  };
+  const int workers = std::min<int>(std::max(1, options.workers), static_cast<int>(reads.size()));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
+
+  // All-or-nothing: a split that dropped one block would assign regions
+  // from an edit map that silently lost durable edits.
+  std::vector<std::string> segments(paths.size());
+  for (std::size_t k = 0; k < reads.size(); ++k) {
+    if (!blocks[k].is_ok()) {
+      TFR_LOG(WARN, "wal") << "read of " << paths[reads[k].segment] << " failed at offset "
+                           << reads[k].offset << ": " << blocks[k].status();
+      return blocks[k].status();
+    }
+    segments[reads[k].segment] += blocks[k].value();
+  }
+  std::vector<WalRecord> out;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    TFR_RETURN_IF_ERROR(decode_segment(paths[i], segments[i], &out));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; });
   return out;
 }
 
 }  // namespace
 
 Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& base_path) {
-  // Live segments are whatever still exists under the base path, in index
-  // (and therefore sequence) order.
-  auto paths = dfs.list(base_path + ".");
-  if (paths.empty()) return Status::not_found("no WAL segments under " + base_path);
-  std::sort(paths.begin(), paths.end());
-  std::vector<WalRecord> out;
-  for (const auto& path : paths) {
-    auto records = read_segment(dfs, path);
-    if (!records.is_ok()) return records.status();
-    for (auto& r : records.value()) out.push_back(std::move(r));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; });
-  return out;
+  return read_durable(dfs, base_path, SplitOptions());
 }
 
 Result<std::map<std::string, std::vector<WalRecord>>> Wal::split(Dfs& dfs,
@@ -280,54 +342,10 @@ Result<std::map<std::string, std::vector<WalRecord>>> Wal::split(Dfs& dfs,
 Result<std::map<std::string, std::vector<WalRecord>>> Wal::split(Dfs& dfs,
                                                                  const std::string& base_path,
                                                                  const SplitOptions& options) {
-  auto paths = dfs.list(base_path + ".");
-  if (paths.empty()) return Status::not_found("no WAL segments under " + base_path);
-  std::sort(paths.begin(), paths.end());
-
-  // Fan out per source segment. Workers claim segments off a shared cursor;
-  // each transient read failure is retried with jittered backoff a bounded
-  // number of times so one flaky replica does not fail the split outright.
-  std::vector<Result<std::vector<WalRecord>>> per_segment(
-      paths.size(), Result<std::vector<WalRecord>>(Status::internal("segment not read")));
-  std::atomic<std::size_t> cursor{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= paths.size()) return;
-      Backoff backoff(options.backoff_base, options.backoff_cap);
-      auto records = read_segment(dfs, paths[i]);
-      while (!records.is_ok() && records.status().is_unavailable() &&
-             backoff.attempts() + 1 < options.attempts_per_segment) {
-        backoff.sleep();
-        records = read_segment(dfs, paths[i]);
-      }
-      per_segment[i] = std::move(records);
-    }
-  };
-  const int workers =
-      std::max(1, std::min<int>(options.workers, static_cast<int>(paths.size())));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-
-  // All-or-nothing: a split that dropped one segment would assign regions
-  // from an edit map that silently lost durable edits.
-  std::vector<WalRecord> merged;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!per_segment[i].is_ok()) {
-      TFR_LOG(WARN, "wal") << "split of " << base_path << " failed at " << paths[i] << ": "
-                           << per_segment[i].status();
-      return per_segment[i].status();
-    }
-    for (auto& r : per_segment[i].value()) merged.push_back(std::move(r));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; });
+  auto records = read_durable(dfs, base_path, options);
+  if (!records.is_ok()) return records.status();
   std::map<std::string, std::vector<WalRecord>> grouped;
-  for (auto& r : merged) {
-    grouped[r.region].push_back(std::move(r));
-  }
+  for (auto& r : records.value()) grouped[r.region].push_back(std::move(r));
   return grouped;
 }
 

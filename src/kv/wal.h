@@ -10,8 +10,9 @@
 // current segment and opens a fresh one, and truncate_obsolete() deletes
 // closed segments whose records have all been superseded by memstore
 // flushes (their data now lives in store files). After a server failure,
-// the durable prefix of every live segment is split by region (Wal::split)
-// and replayed into freshly assigned regions — HBase's internal recovery.
+// the durable prefix of every live segment is read block by block, split by
+// region (Wal::split) and replayed into freshly assigned regions — HBase's
+// internal recovery.
 // Updates that were only in the in-memory tail are gone; those are
 // precisely the ones the recovery manager replays from the TM log.
 #pragma once
@@ -96,30 +97,41 @@ class Wal {
   /// Bytes appended to the current (open) segment — the roll trigger.
   std::uint64_t current_segment_bytes() const;
 
+  /// True iff the open segment holds records and all of them have seq <
+  /// `min_needed_seq`: rolling it lets truncate_obsolete() reclaim them.
+  bool open_segment_obsolete(std::uint64_t min_needed_seq) const;
+
   /// The writer crashed: the un-synced tail of the open segment is lost.
   void crash();
 
   WalStats stats() const;
   const std::string& base_path() const { return base_path_; }
 
-  /// Read all durable records of a (possibly crashed) server's WAL, across
-  /// all of its live segments, in sequence order.
-  static Result<std::vector<WalRecord>> read_records(Dfs& dfs, const std::string& base_path);
-
-  /// Tuning for the parallel split below.
+  /// Tuning for the parallel block reads behind read_records() and split().
   struct SplitOptions {
-    int workers = 4;               ///< worker threads (capped by segment count)
-    int attempts_per_segment = 8;  ///< bounded retries of transient read errors
+    int workers = 4;            ///< worker threads (capped by the block count)
+    int attempts_per_read = 8;  ///< bounded tries of each block read on Unavailable
     Micros backoff_base = millis(1);
     Micros backoff_cap = millis(8);
   };
 
+  /// Read all durable records of a (possibly crashed) server's WAL, across
+  /// all of its live segments, in sequence order. Same block reader, same
+  /// rules and default options as split().
+  static Result<std::vector<WalRecord>> read_records(Dfs& dfs, const std::string& base_path);
+
   /// HBase log splitting: group the durable records of a failed server's
-  /// WAL by region, in sequence order. Fans out per source segment across a
-  /// worker pool; each worker retries transient (Unavailable) read errors a
-  /// bounded number of times. All-or-nothing: if any segment cannot be
-  /// decoded the whole split fails — a partial edit map silently loses
-  /// durable edits for the regions whose segment was dropped.
+  /// WAL by region, in sequence order. Workers claim block-aligned DFS reads
+  /// (one block each, across every live segment) off a shared cursor, so the
+  /// split costs about blocks / workers block reads however the records are
+  /// spread over segments; each read retries transient (Unavailable) errors
+  /// a bounded number of times. The blocks are then reassembled per segment
+  /// and decoded in order: a torn final frame truncates, a checksum mismatch
+  /// is corruption. All-or-nothing: if any block cannot be read or any
+  /// segment decoded, the whole split fails — a partial edit map silently
+  /// loses durable edits for the regions whose records were dropped. The
+  /// master fences the WAL before splitting it, so durable sizes cannot move
+  /// under the reads.
   static Result<std::map<std::string, std::vector<WalRecord>>> split(
       Dfs& dfs, const std::string& base_path, const SplitOptions& options);
   static Result<std::map<std::string, std::vector<WalRecord>>> split(Dfs& dfs,

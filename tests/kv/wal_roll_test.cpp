@@ -2,7 +2,10 @@
 // store's log bounded once memstore flushes have persisted the data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -194,12 +197,13 @@ TEST(WalRollTest, RegionServerRollsAndReclaimsAfterMemstoreFlush) {
   RegionServer server("rs1", dfs, coord, cfg);
   ASSERT_TRUE(server.start().is_ok());
   ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "", ""}, {}).is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"u", "", ""}, {}).is_ok());
 
-  auto apply = [&](Timestamp ts) {
+  auto apply = [&](const std::string& table, Timestamp ts) {
     ApplyRequest req;
     req.commit_ts = ts;
     req.client_id = "c";
-    req.table = "t";
+    req.table = table;
     req.mutations.push_back(Mutation{"row" + std::to_string(ts), "c",
                                      std::string(128, 'x'), false});
     BatchApplyRequest frame;
@@ -209,24 +213,121 @@ TEST(WalRollTest, RegionServerRollsAndReclaimsAfterMemstoreFlush) {
     ASSERT_TRUE(statuses.value().front().is_ok());
   };
 
-  for (Timestamp ts = 1; ts <= 20; ++ts) {
-    apply(ts);
+  // Stop right after a size roll, so the next record opens a segment.
+  Timestamp ts = 1;
+  for (; ts <= 20 || server.wal().current_segment_bytes() > 0; ++ts) {
+    apply("t", ts);
     server.maybe_roll_wal();
   }
   EXPECT_GT(server.wal().stats().rolls, 2u);
   // Un-flushed edits pin every segment: nothing reclaimed yet.
   EXPECT_EQ(server.wal().stats().segments_truncated, 0u);
 
-  // Flush the memstore: the store file now carries the data, the old
-  // segments become reclaimable.
+  // One un-flushed edit in "u" lands in the open segment; then flush "t":
+  // the store file now carries its data and the closed segments go, but
+  // the open segment holds "u"'s edit and must survive, unrolled.
+  apply("u", ts);
   ASSERT_TRUE(server.region("t,")->flush_memstore().is_ok());
+  const std::uint64_t rolls = server.wal().stats().rolls;
   server.maybe_roll_wal();
   EXPECT_GT(server.wal().stats().segments_truncated, 0u);
-  EXPECT_LE(server.wal().stats().live_segments, 2u);
+  EXPECT_EQ(server.wal().stats().rolls, rolls);
+  EXPECT_EQ(server.wal().stats().live_segments, 1u);
+  EXPECT_GT(server.wal().current_segment_bytes(), 0u);
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  auto pinned = Wal::split(dfs, server.wal_path()).value();
+  ASSERT_EQ(pinned["u,"].size(), 1u);
+  EXPECT_EQ(pinned["u,"].front().commit_ts, ts);
+
+  // Once every region is flushed, one call rolls the open segment and
+  // reclaims it: one empty live segment, nothing left for a split.
+  ASSERT_TRUE(server.region("u,")->flush_memstore().is_ok());
+  server.maybe_roll_wal();
+  EXPECT_EQ(server.wal().stats().rolls, rolls + 1);
+  EXPECT_EQ(server.wal().stats().live_segments, 1u);
+  EXPECT_EQ(server.wal().current_segment_bytes(), 0u);
+  EXPECT_TRUE(Wal::split(dfs, server.wal_path()).value().empty());
+  // An empty open segment is not rolled again.
+  server.maybe_roll_wal();
+  EXPECT_EQ(server.wal().stats().rolls, rolls + 1);
 
   // And reads still see everything.
   EXPECT_EQ(server.get("t", "row7", "c", 100).value()->value, std::string(128, 'x'));
+  EXPECT_EQ(server.get("u", "row" + std::to_string(ts), "c", 100).value()->value,
+            std::string(128, 'x'));
   ASSERT_TRUE(server.shutdown().is_ok());
+}
+
+TEST(WalRollTest, RollAndReclaimRacingAppliesLosesNoRecord) {
+  // Writers apply while another thread flushes and rolls in a loop, so a
+  // fully flushed region server rolls and reclaims its open segment over
+  // and over. A record appended to the WAL but not yet in the memstore must
+  // pin its segment: after the crash, every acked row is in a store file or
+  // in the split.
+  Dfs dfs{DfsConfig{}};
+  Coord coord(seconds(10));
+  RegionServerConfig cfg;
+  cfg.heartbeat_interval = seconds(100);
+  cfg.session_ttl = seconds(1000);
+  cfg.wal_sync_interval = seconds(100);
+  cfg.memstore_flush_bytes = 1u << 30;
+  RegionServer server("rs1", dfs, coord, cfg);
+  ASSERT_TRUE(server.start().is_ok());
+  const RegionDescriptor desc{"t", "", ""};
+  ASSERT_TRUE(server.open_region(desc, {}).is_ok());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::vector<std::string>> acked(3);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < acked.size(); ++w) {
+    threads.emplace_back([&, w] {
+      for (Timestamp ts = 1; !stop.load(std::memory_order_acquire); ++ts) {
+        const std::string row = "w" + std::to_string(w) + "-" + std::to_string(ts);
+        ApplyRequest req;
+        req.commit_ts = ts;
+        req.client_id = "c";
+        req.table = "t";
+        req.mutations.push_back(Mutation{row, "c", "v", false});
+        BatchApplyRequest frame;
+        frame.slices.push_back(std::move(req));
+        auto statuses = server.apply_batch(frame);
+        ASSERT_TRUE(statuses.is_ok()) << statuses.status();
+        ASSERT_TRUE(statuses.value().front().is_ok()) << statuses.value().front();
+        acked[w].push_back(row);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ASSERT_TRUE(server.region("t,")->flush_memstore().is_ok());
+      server.maybe_roll_wal();
+      sleep_micros(500);  // bounds the store-file count
+    }
+  });
+  sleep_millis(200);
+  stop.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  EXPECT_GT(server.wal().stats().segments_truncated, 10u);
+
+  // Everything acked is durable now; then the server dies with its memstore.
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  server.crash();
+  auto edits = Wal::split(dfs, server.wal_path());
+  ASSERT_TRUE(edits.is_ok()) << edits.status();
+  RegionServer successor("rs2", dfs, coord, cfg);
+  ASSERT_TRUE(successor.start().is_ok());
+  ASSERT_TRUE(successor.open_region(desc, edits.value()["t,"]).is_ok());
+  std::size_t checked = 0;
+  for (const auto& rows : acked) {
+    for (const std::string& row : rows) {
+      ++checked;
+      auto cell = successor.get("t", row, "c", kMaxTimestamp);
+      ASSERT_TRUE(cell.is_ok()) << cell.status();
+      EXPECT_TRUE(cell.value().has_value()) << row << " lost: in no store file and not split";
+    }
+  }
+  EXPECT_GT(checked, 100u);
+  ASSERT_TRUE(successor.shutdown().is_ok());
 }
 
 TEST(WalRollTest, SplitAfterCrashSeesAllLiveSegments) {
@@ -308,6 +409,128 @@ TEST(WalRollTest, SplitIsAllOrNothingOnCorruptSegment) {
   ASSERT_FALSE(split.is_ok());
   EXPECT_NE(split.status().to_string().find("checksum"), std::string::npos)
       << split.status();
+}
+
+// Three segments of six records each, on 256-byte DFS blocks; odd frame
+// sizes make frames straddle block boundaries.
+constexpr const char* kBase = "/wal/rs1.log";
+
+void write_three_segments(Dfs& dfs) {
+  auto wal = Wal::create(dfs, kBase).value();
+  for (Timestamp ts = 1; ts <= 18; ++ts) {
+    WalRecord r = rec(ts % 3 == 0 ? "a" : "b", ts);
+    r.cells.front().value = std::string(static_cast<std::size_t>(90 + ts), 'v');
+    ASSERT_TRUE(wal->append(std::move(r)).is_ok());
+    if (ts % 6 == 0 && ts < 18) {
+      ASSERT_TRUE(wal->roll().is_ok());
+    }
+  }
+  ASSERT_TRUE(wal->sync().is_ok());
+}
+
+std::vector<std::string> segments(const Dfs& dfs) {
+  auto paths = dfs.list(std::string(kBase) + ".");
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+std::int64_t durable_blocks(const Dfs& dfs) {
+  const std::uint64_t block = dfs.config().block_size;
+  std::int64_t blocks = 0;
+  for (const auto& path : segments(dfs)) {
+    blocks += static_cast<std::int64_t>((dfs.durable_size(path).value() + block - 1) / block);
+  }
+  return blocks;
+}
+
+TEST(WalBlockSplitTest, MatchesReadRecordsReadingEachBlockOnce) {
+  Dfs dfs{DfsConfig{.block_size = 256}};
+  write_three_segments(dfs);
+  const auto paths = segments(dfs);
+  ASSERT_EQ(paths.size(), 3u);
+  for (const auto& path : paths) ASSERT_GT(dfs.durable_size(path).value(), 2 * 256u) << path;
+
+  const std::int64_t before = dfs.stats().block_reads;
+  auto grouped = Wal::split(dfs, kBase);
+  ASSERT_TRUE(grouped.is_ok()) << grouped.status();
+  EXPECT_EQ(dfs.stats().block_reads - before, durable_blocks(dfs));
+
+  auto records = Wal::read_records(dfs, kBase).value();
+  ASSERT_EQ(records.size(), 18u);
+  std::map<std::string, std::vector<WalRecord>> expected;
+  for (auto& r : records) expected[r.region].push_back(std::move(r));
+  ASSERT_EQ(grouped.value().size(), expected.size());
+  for (const auto& [region, want] : expected) {
+    const auto& got = grouped.value()[region];
+    ASSERT_EQ(got.size(), want.size()) << region;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(got[i - 1].seq, got[i].seq) << region;
+      }
+      EXPECT_EQ(got[i].seq, want[i].seq) << region;
+      EXPECT_EQ(got[i].commit_ts, want[i].commit_ts) << region;
+      EXPECT_EQ(got[i].cells.front().value, want[i].cells.front().value) << region;
+    }
+  }
+}
+
+TEST(WalBlockSplitTest, TornFrameInTheLastBlockTruncates) {
+  Dfs dfs{DfsConfig{.block_size = 256}};
+  write_three_segments(dfs);
+  // A sync that raced the writer's crash left half a frame at the end.
+  const std::string last = segments(dfs).back();
+  ASSERT_TRUE(dfs.append(last, rec("b", 19).encode().substr(0, 40)).is_ok());
+  ASSERT_TRUE(dfs.sync(last).is_ok());
+  auto grouped = Wal::split(dfs, kBase);
+  ASSERT_TRUE(grouped.is_ok()) << grouped.status();
+  std::size_t total = 0;
+  for (const auto& [region, records] : grouped.value()) total += records.size();
+  EXPECT_EQ(total, 18u);
+}
+
+TEST(WalBlockSplitTest, BadChecksumInAMiddleBlockFailsTheWholeSplit) {
+  Dfs dfs{DfsConfig{.block_size = 256}};
+  write_three_segments(dfs);
+  // Flip a payload byte of the first frame that starts past the middle
+  // segment's first block, well before its last block.
+  const std::string middle = segments(dfs)[1];
+  const std::string data = dfs.read_all(middle).value();
+  std::uint64_t offset = 0;
+  for (;;) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, data.data() + offset, sizeof(len));
+    if (offset >= 256) {
+      offset += 4 + len / 2;
+      break;
+    }
+    offset += 4 + len + 4;  // length prefix, payload, checksum
+  }
+  ASSERT_LT(offset, data.size() / 256 * 256);
+  ASSERT_TRUE(dfs.corrupt_byte(middle, offset).is_ok());
+  auto split = Wal::split(dfs, kBase);
+  ASSERT_FALSE(split.is_ok());
+  EXPECT_EQ(split.status().code(), Code::kCorruption) << split.status();
+}
+
+TEST(WalBlockSplitTest, OneFailedBlockReadIsRetried) {
+  Dfs dfs{DfsConfig{.block_size = 256}};
+  FaultInjector fault;
+  dfs.set_fault_injector(&fault);
+  write_three_segments(dfs);
+  FaultRule flaky;
+  flaky.op = FaultOp::kDfsRead;
+  flaky.target = segments(dfs)[1];
+  flaky.fail_next = 1;
+  fault.add_rule(flaky);
+  const std::int64_t before = dfs.stats().block_reads;
+  auto grouped = Wal::split(dfs, kBase);
+  ASSERT_TRUE(grouped.is_ok()) << grouped.status();
+  EXPECT_EQ(fault.stats().injected_errors, 1);
+  // The failed try read nothing; the retry read the block once.
+  EXPECT_EQ(dfs.stats().block_reads - before, durable_blocks(dfs));
+  std::size_t total = 0;
+  for (const auto& [region, records] : grouped.value()) total += records.size();
+  EXPECT_EQ(total, 18u);
 }
 
 }  // namespace
