@@ -52,7 +52,7 @@ class ReadBench {
                        .sync_jitter = 0,
                        .read_latency = dfs_read_latency,
                        .read_jitter = 0}),
-        cache_(64ull << 20, /*num_shards=*/16),
+        cache_(64ull << 20),
         region_(RegionDescriptor{"usertable", "", ""}, dfs_, cache_, kBlockBytes) {}
 
   Status load() {

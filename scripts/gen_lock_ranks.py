@@ -47,11 +47,8 @@ RANKS = [
      "held across whole gated replays by construction of the harness"),
     ("kRecoveryManager", 200, "recovery_manager", True,
      "RM orchestration, floors, PQ (Alg. 1+3)",
-     "threshold-registry stripes, coord, TM, TM log, KV client paths",
+     "coord, TM, TM log, KV client paths",
      "serializes recovery: replay RPCs and coord marker writes happen under it"),
-    ("kThresholdRegistry", 195, "threshold_registry", False,
-     "registry C / S stripes (Alg. 2+4, §7a)", "leaf (taken under the RM mutex)",
-     "stripe mutation is pure bookkeeping; min() is lock-free"),
     ("kRecoveryTracker", 190,
      "persist_tracker, recovery_client, flush_tracker.advance", True,
      "TP(s) / TF(c) trackers (Alg. 1+3)", "WAL sync (TP persist step)",
@@ -95,7 +92,7 @@ RANKS = [
     ("kServerHooks", 80, "region_server.hooks", False, "test hook registration",
      "leaf", "hook snapshot only; observers run after release"),
     ("kBlockCache", 70, "block_cache", False, "block cache LRU", "leaf",
-     "single-flight design loads blocks outside the stripe lock"),
+     "single-flight design loads blocks outside the cache lock"),
     ("kFaultInjector", 60, "fault_injector", False,
      "deterministic fault injection", "leaf",
      "rule lookup only; injected delays sleep after release"),

@@ -27,7 +27,6 @@ enum class LockRank : int {
   kBalancer = 220,          // master.balancer: master balancer loop (§9)
   kHarness = 210,           // testbed.rm: test harness
   kRecoveryManager = 200,   // recovery_manager: RM orchestration, floors, PQ (Alg. 1+3)
-  kThresholdRegistry = 195, // threshold_registry: registry C / S stripes (Alg. 2+4, §7a)
   kRecoveryTracker = 190,   // persist_tracker, recovery_client, flush_tracker.advance: TP(s) / TF(c) trackers (Alg. 1+3)
   kClientLifecycle = 180,   // txn_client.lifecycle, region_server.terminator: client/server self-termination
   kRegionServer = 170,      // region_server.regions: region server directory
@@ -62,7 +61,6 @@ inline constexpr LockRankInfo kLockRankTable[] = {
     {"master.balancer", 220, true},
     {"testbed.rm", 210, true},
     {"recovery_manager", 200, true},
-    {"threshold_registry", 195, false},
     {"persist_tracker, recovery_client, flush_tracker.advance", 190, true},
     {"txn_client.lifecycle, region_server.terminator", 180, true},
     {"region_server.regions", 170, true},

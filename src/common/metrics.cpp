@@ -43,15 +43,6 @@ GaugeRegistry& gauge_registry() {
 }
 }  // namespace
 
-std::size_t Counter::thread_stripe() {
-  static std::atomic<std::size_t> next{0};
-  // One atomic increment per thread lifetime; every add() after that is a
-  // single relaxed fetch_add on a thread-private cache line.
-  thread_local const std::size_t stripe =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return stripe;
-}
-
 Counter& global_counter(const std::string& name) {
   CounterRegistry& r = registry();
   MutexLock lock(r.mutex);

@@ -91,39 +91,16 @@ class TimeSeriesRecorder {
                                                 millis(20), millis(50), millis(100), millis(500)};
 };
 
-/// Simple named counter (for tracking bytes sent, replays, ...).
-///
-/// The write path is wait-free and contention-free: each thread owns one of
-/// `kStripes` cache-line-padded slots (assigned round-robin on first use) and
-/// only ever does a relaxed add on it — two threads bumping the same counter
-/// never touch the same cache line unless the thread count exceeds the stripe
-/// count. get()/reset() walk all stripes; they are read-side operations for
-/// tests and report generation, not hot paths.
+/// Simple named counter (for tracking bytes sent, replays, ...). Every
+/// operation is one relaxed atomic.
 class Counter {
  public:
-  void add(std::int64_t delta = 1) {
-    stripes_[thread_stripe()].value.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::int64_t get() const {
-    std::int64_t sum = 0;
-    for (const auto& s : stripes_) sum += s.value.load(std::memory_order_relaxed);
-    return sum;
-  }
-  void reset() {
-    for (auto& s : stripes_) s.value.store(0, std::memory_order_relaxed);
-  }
+  void add(std::int64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  std::int64_t get() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct alignas(64) Stripe {
-    std::atomic<std::int64_t> value{0};
-  };
-
-  /// This thread's stripe index, assigned once per thread from a process-wide
-  /// round-robin so long-lived workers spread evenly across stripes.
-  static std::size_t thread_stripe();
-
-  Stripe stripes_[kStripes];
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Last-value gauge for level metrics that move in both directions (segment

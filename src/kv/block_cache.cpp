@@ -5,14 +5,6 @@
 namespace tfr {
 
 namespace {
-constexpr std::size_t kDefaultShards = 16;
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 // Process-wide gauges, shared by every cache instance (one per region
 // server): soaks and benches read the fleet-wide hit rate here. bytes is
 // maintained with +/- deltas so it tracks the current resident size.
@@ -38,127 +30,98 @@ Counter& cache_single_flight_waits() {
 }
 }  // namespace
 
-BlockCache::BlockCache(std::size_t capacity_bytes, std::size_t num_shards)
-    : capacity_(capacity_bytes) {
-  const std::size_t n = round_up_pow2(num_shards == 0 ? kDefaultShards : num_shards);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = capacity_bytes / n;
-  }
-}
-
-BlockCache::Shard& BlockCache::shard_for(const std::string& key) const {
-  return *shards_[std::hash<std::string>{}(key) & (shards_.size() - 1)];
-}
-
 Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
                                          const std::function<Result<BlockPtr>()>& loader) {
-  Shard& s = shard_for(key);
   {
-    MutexLock lock(s.mutex);
+    MutexLock lock(mutex_);
     for (;;) {
-      auto it = s.map.find(key);
-      if (it != s.map.end()) {
-        s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
-        ++s.stats.hits;
+      auto it = map_.find(key);
+      if (it != map_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        ++stats_.hits;
         cache_hits().add();
         return it->second.block;
       }
-      if (s.loading.count(key) == 0) break;  // we become the loader
+      if (loading_.count(key) == 0) break;  // we become the loader
       // Another thread is loading this key; wait for it and re-check. On a
       // successful load we hit in the map; on a failed load the loading
       // marker is gone and we take over as the loader.
-      ++s.stats.single_flight_waits;
+      ++stats_.single_flight_waits;
       cache_single_flight_waits().add();
-      s.load_done.wait(lock);
+      load_done_.wait(lock);
     }
-    s.loading.insert(key);
-    ++s.stats.misses;
+    loading_.insert(key);
+    ++stats_.misses;
     cache_misses().add();
   }
 
   // Load outside the lock: the DFS read latency must not serialize the
-  // shard. Single-flight guarantees no other thread is loading this key.
+  // cache. Single-flight guarantees no other thread is loading this key.
   Result<BlockPtr> loaded = loader();
 
-  MutexLock lock(s.mutex);
-  s.loading.erase(key);
-  s.load_done.notify_all();
+  MutexLock lock(mutex_);
+  loading_.erase(key);
+  load_done_.notify_all();
   if (!loaded.is_ok()) return loaded;
   BlockPtr block = loaded.value();
-  auto it = s.map.find(key);
-  if (it != s.map.end()) {
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     // Raced an insert (only possible via clear/invalidate interleavings);
     // keep the existing entry.
-    s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.block;
   }
-  s.lru.push_front(key);
-  s.map[key] = Shard::Entry{block, s.lru.begin()};
-  s.stats.bytes += static_cast<std::int64_t>(block->byte_size);
+  lru_.push_front(key);
+  map_[key] = Entry{block, lru_.begin()};
+  stats_.bytes += static_cast<std::int64_t>(block->byte_size);
   cache_bytes().add(static_cast<std::int64_t>(block->byte_size));
-  s.evict_to_fit();
+  evict_to_fit();
   return block;
 }
 
-void BlockCache::Shard::evict_to_fit() {
-  while (stats.bytes > static_cast<std::int64_t>(capacity) && !lru.empty()) {
-    const std::string& victim = lru.back();
-    auto it = map.find(victim);
-    if (it != map.end()) {
-      stats.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
+void BlockCache::evict_to_fit() {
+  while (stats_.bytes > static_cast<std::int64_t>(capacity_) && !lru_.empty()) {
+    auto it = map_.find(lru_.back());
+    if (it != map_.end()) {
+      stats_.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
       cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
-      map.erase(it);
-      ++stats.evictions;
+      map_.erase(it);
+      ++stats_.evictions;
       cache_evictions().add();
     }
-    lru.pop_back();
+    lru_.pop_back();
   }
 }
 
 void BlockCache::invalidate_prefix(const std::string& prefix) {
-  for (auto& shard : shards_) {
-    Shard& s = *shard;
-    MutexLock lock(s.mutex);
-    for (auto it = s.map.begin(); it != s.map.end();) {
-      if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        s.stats.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
-        cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
-        s.lru.erase(it->second.lru_it);
-        it = s.map.erase(it);
-      } else {
-        ++it;
-      }
+  std::vector<BlockPtr> dropped;  // freed after the lock is released
+  MutexLock lock(mutex_);
+  for (auto it = map_.begin(); it != map_.end();) {
+    if (it->first.compare(0, prefix.size(), prefix) == 0) {
+      stats_.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
+      cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
+      lru_.erase(it->second.lru_it);
+      dropped.push_back(std::move(it->second.block));
+      it = map_.erase(it);
+    } else {
+      ++it;
     }
   }
 }
 
 void BlockCache::clear() {
-  for (auto& shard : shards_) {
-    Shard& s = *shard;
-    MutexLock lock(s.mutex);
-    cache_bytes().add(-s.stats.bytes);
-    s.map.clear();
-    s.lru.clear();
-    s.stats.bytes = 0;
-    // `loading` stays: in-flight loaders own their markers and will erase
-    // them when they finish.
-  }
+  MutexLock lock(mutex_);
+  cache_bytes().add(-stats_.bytes);
+  map_.clear();
+  lru_.clear();
+  stats_.bytes = 0;
+  // `loading_` stays: in-flight loaders own their markers and will erase
+  // them when they finish.
 }
 
 BlockCacheStats BlockCache::stats() const {
-  BlockCacheStats total;
-  for (const auto& shard : shards_) {
-    const Shard& s = *shard;
-    MutexLock lock(s.mutex);
-    total.hits += s.stats.hits;
-    total.misses += s.stats.misses;
-    total.evictions += s.stats.evictions;
-    total.bytes += s.stats.bytes;
-    total.single_flight_waits += s.stats.single_flight_waits;
-  }
-  return total;
+  MutexLock lock(mutex_);
+  return stats_;
 }
 
 }  // namespace tfr

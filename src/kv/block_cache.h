@@ -6,12 +6,12 @@
 // failover in Figure 3: the regions that move to the surviving server arrive
 // with a completely cold cache.
 //
-// The cache is sharded into independent LRU stripes (key hash picks the
-// stripe) so concurrent readers don't serialize on one mutex, and each miss
-// is single-flight: the first thread to miss a key runs the loader; threads
-// that miss the same key while the load is in flight wait and share the
-// result instead of stampeding the DFS with duplicate reads. A failed load
-// wakes the waiters and the next one retries as the new loader.
+// One LRU under one mutex, evicting the least recently used block once the
+// resident bytes exceed the capacity. Each miss is single-flight: the first
+// thread to miss a key runs the loader outside the lock; threads that miss
+// the same key while the load is in flight wait and share the result instead
+// of stampeding the DFS with duplicate reads. A failed load wakes the
+// waiters and the next one retries as the new loader.
 //
 // Event counts are published both per-cache (stats()) and process-wide
 // under kv.cache.{hits,misses,evictions,bytes} in the global metrics
@@ -54,9 +54,7 @@ struct BlockCacheStats {
 
 class BlockCache {
  public:
-  /// `num_shards` is rounded up to a power of two; 0 picks the default (16).
-  /// Capacity is split evenly across shards.
-  explicit BlockCache(std::size_t capacity_bytes, std::size_t num_shards = 0);
+  explicit BlockCache(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   /// Look up `key`; on miss, call `loader` (which typically performs a DFS
   /// read and therefore blocks for the read latency), insert, and return.
@@ -72,32 +70,24 @@ class BlockCache {
 
   void clear();
 
-  /// Aggregated over all shards.
   BlockCacheStats stats() const;
   std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct Shard {
-    mutable RankedMutex<LockRank::kBlockCache> mutex{"block_cache_shard"};
-    CondVar load_done;  // signaled whenever an in-flight load finishes
-    std::list<std::string> lru TFR_GUARDED_BY(mutex);  // front = most recent
-    struct Entry {
-      BlockPtr block;
-      std::list<std::string>::iterator lru_it;
-    };
-    std::unordered_map<std::string, Entry> map TFR_GUARDED_BY(mutex);
-    std::unordered_set<std::string> loading TFR_GUARDED_BY(mutex);
-    BlockCacheStats stats TFR_GUARDED_BY(mutex);
-    std::size_t capacity = 0;
-
-    void evict_to_fit() TFR_REQUIRES(mutex);
+  struct Entry {
+    BlockPtr block;
+    std::list<std::string>::iterator lru_it;
   };
 
-  Shard& shard_for(const std::string& key) const;
+  void evict_to_fit() TFR_REQUIRES(mutex_);
 
-  std::size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable RankedMutex<LockRank::kBlockCache> mutex_{"block_cache"};
+  CondVar load_done_;  // signaled whenever an in-flight load finishes
+  std::list<std::string> lru_ TFR_GUARDED_BY(mutex_);  // front = most recent
+  std::unordered_map<std::string, Entry> map_ TFR_GUARDED_BY(mutex_);
+  std::unordered_set<std::string> loading_ TFR_GUARDED_BY(mutex_);
+  BlockCacheStats stats_ TFR_GUARDED_BY(mutex_);
 };
 
 }  // namespace tfr

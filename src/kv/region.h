@@ -70,7 +70,9 @@ class Region {
   /// open, before replaying any edits). `ref-N` marker files — written by a
   /// split/merge, each holding the real path of a retired parent's store
   /// file — are resolved to readers on the referenced file; compaction
-  /// later rewrites the data locally and drops the markers.
+  /// later rewrites the data locally and drops the markers. The files are
+  /// opened concurrently, so the open costs about one file's DFS round
+  /// trips whatever the file count.
   Status load_store_files();
 
   /// Appends the WAL record carrying some cells and returns its sequence

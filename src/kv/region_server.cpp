@@ -11,18 +11,12 @@
 
 namespace tfr {
 
-namespace {
-// LRU stripes in the block cache; more stripes = less reader contention,
-// coarser per-stripe LRU.
-constexpr std::size_t kBlockCacheShards = 16;
-}  // namespace
-
 RegionServer::RegionServer(std::string id, Dfs& dfs, Coord& coord, RegionServerConfig config)
     : id_(std::move(id)),
       dfs_(&dfs),
       coord_(&coord),
       config_(config),
-      cache_(config.block_cache_bytes, kBlockCacheShards),
+      cache_(config.block_cache_bytes),
       handlers_(config.handler_slots),
       rpc_model_(config.rpc_latency, config.rpc_jitter),
       read_service_(config.read_service, 0),

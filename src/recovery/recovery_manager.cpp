@@ -66,8 +66,8 @@ void RecoveryManager::recover_state() {
     }
     client_tf_.clear();
     server_tp_.clear();
-    for (const auto& s : coord_->live_sessions("clients")) client_tf_.set(s.name, s.payload);
-    for (const auto& s : coord_->live_sessions("servers")) server_tp_.set(s.name, s.payload);
+    for (const auto& s : coord_->live_sessions("clients")) client_tf_[s.name] = s.payload;
+    for (const auto& s : coord_->live_sessions("servers")) server_tp_[s.name] = s.payload;
 
     // Re-adopt the in-flight server recoveries: every pending region floors
     // TP again at its TPr(s), and a gate firing after the restart still finds
@@ -99,7 +99,7 @@ void RecoveryManager::recover_state() {
     const std::size_t registry_prefix = std::string(kClientRegistryPrefix).size();
     for (const auto& [path, tfc] : coord_->list(kClientRegistryPrefix)) {
       const std::string id = path.substr(registry_prefix);
-      if (client_tf_.get(id)) continue;
+      if (client_tf_.count(id)) continue;
       const bool already_resuming = std::any_of(
           resume.begin(), resume.end(), [&](const auto& r) { return r.first == id; });
       if (already_resuming) continue;
@@ -128,10 +128,10 @@ void RecoveryManager::recover_state() {
 // --- threshold maintenance ---------------------------------------------------
 
 Timestamp RecoveryManager::compute_tf_locked() const {
-  // TF = min over all clients' reported thresholds (the registry's striped,
-  // lock-free min), with in-flight client recoveries holding the floor at
-  // TFr(c).
-  Timestamp tf = client_tf_.min();
+  // TF = min over all clients' reported thresholds, with in-flight client
+  // recoveries holding the floor at TFr(c).
+  Timestamp tf = kMaxTimestamp;
+  for (const auto& [c, t] : client_tf_) tf = std::min(tf, t);
   for (const auto& [c, t] : client_recovery_floor_) tf = std::min(tf, t);
   if (tf == kMaxTimestamp) {
     // No clients: every commit ever issued came from a client that either
@@ -143,7 +143,8 @@ Timestamp RecoveryManager::compute_tf_locked() const {
 }
 
 Timestamp RecoveryManager::compute_tp_locked() const {
-  Timestamp tp = server_tp_.min();
+  Timestamp tp = kMaxTimestamp;
+  for (const auto& [s, t] : server_tp_) tp = std::min(tp, t);
   // Every region still awaiting transactional replay pins TP at the TPr(s)
   // of its failure, so the recovery log cannot be truncated under it.
   for (const auto& [r, pending] : pending_regions_) tp = std::min(tp, pending.tpr);
@@ -178,17 +179,17 @@ void RecoveryManager::poll_tick() {
 void RecoveryManager::ingest_sessions_locked() {
   // mutex_ is held across snapshot + ingest + publish so a session that
   // departs concurrently (its listener erases the registry entry under this
-  // same mutex) cannot be resurrected by a stale snapshot — the registry
-  // stripes synchronize individual updates, but the erase-vs-reinsert
-  // ordering needs the RM mutex.
+  // same mutex) cannot be resurrected by a stale snapshot.
   // Ingest the latest piggybacked thresholds. Client TF(c) is monotonic
   // (max-merge); server TP(s) can be *lowered* by inheritance, so take it
   // verbatim.
   for (const auto& s : coord_->live_sessions("clients")) {
-    client_tf_.raise(s.name, s.payload);  // creates on first sight (Algorithm 2)
+    // Creates on first sight (Algorithm 2); a stale payload never lowers it.
+    Timestamp& tfc = client_tf_.try_emplace(s.name, s.payload).first->second;
+    tfc = std::max(tfc, s.payload);
     // Durable registry: if this client dies while no RM is listening, the
     // next RM still knows it existed and what to replay from.
-    if (auto tfc = client_tf_.get(s.name)) coord_->put(kClientRegistryPrefix + s.name, *tfc);
+    coord_->put(kClientRegistryPrefix + s.name, tfc);
   }
   for (const auto& s : coord_->live_sessions("servers")) {
     // A failure the master proved early (a crashed server answering an RPC
@@ -196,7 +197,7 @@ void RecoveryManager::ingest_sessions_locked() {
     // session is still ticking down; its stale payload must not resurrect
     // the erased registry entry.
     if (failed_servers_.count(s.name)) continue;
-    server_tp_.set(s.name, s.payload);
+    server_tp_[s.name] = s.payload;
   }
 }
 
@@ -236,10 +237,9 @@ void RecoveryManager::on_client_session(const SessionInfo& info, bool expired) {
     // Hold TF at TFr(c) until the replay completes: servers must not be
     // told that these transactions are "fully flushed" while the recovery
     // client is still re-flushing them. The floor is installed BEFORE the
-    // registry entry is erased (see threshold_registry.h: erasure is the
-    // only operation that can raise the min past a component with
-    // unflushed work). The durable marker lets an RM that restarts
-    // mid-replay resume from the same floor.
+    // registry entry is erased: erasure is the only operation that can
+    // raise the min past a component with unflushed work. The durable
+    // marker lets an RM that restarts mid-replay resume from the same floor.
     client_recovery_floor_[info.name] = info.payload;
     client_tf_.erase(info.name);
     coord_->put(kRecoveringClientPrefix + info.name, info.payload);
@@ -303,16 +303,18 @@ void RecoveryManager::on_server_session(const SessionInfo& info, bool expired) {
     publish_locked();
     return;
   }
-  server_tp_.lower(info.name, info.payload);
+  // Min-merge: keep the most conservative TP(s) seen.
+  auto [it, inserted] = server_tp_.try_emplace(info.name, info.payload);
+  if (!inserted) it->second = std::min(it->second, info.payload);
 }
 
 void RecoveryManager::on_server_failure(const std::string& server_id,
                                         const std::vector<std::string>& regions) {
   MutexLock lock(mutex_);
   Timestamp tpr = published_tp_.load(std::memory_order_relaxed);  // conservative fallback
-  if (auto tps = server_tp_.get(server_id)) {
-    tpr = *tps;
-    server_tp_.erase(server_id);
+  if (auto it = server_tp_.find(server_id); it != server_tp_.end()) {
+    tpr = it->second;
+    server_tp_.erase(it);
   }
   // If the master proved this death early (a ServerDown answer confirmed by
   // its probe, from a client's RPC or a failed open_region), the dead

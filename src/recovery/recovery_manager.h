@@ -48,7 +48,6 @@
 #include "src/coord/coord.h"
 #include "src/kv/master.h"
 #include "src/recovery/recovery_client.h"
-#include "src/recovery/threshold_registry.h"
 #include "src/txn/txn_manager.h"
 
 namespace tfr {
@@ -182,13 +181,10 @@ class RecoveryManager : public MasterHooks {
 
   mutable RankedMutex<LockRank::kRecoveryManager> mutex_{"recovery_manager"};
   mutable CondVar idle_cv_;
-  /// Registries C and S (Algorithms 2/4), striped so per-component updates
-  /// and the min aggregation don't serialize on one mutex. Internally
-  /// synchronized; mutations that must be atomic with the recovery floors
-  /// or the publish step still run under mutex_ (stripe locks rank below
-  /// it, so nesting is legal).
-  ShardedThresholdRegistry client_tf_;  // registry C: client -> TF(c)
-  ShardedThresholdRegistry server_tp_;  // registry S: server -> TP(s)
+  /// Registries C and S (Algorithms 2/4). Every update runs under mutex_,
+  /// atomically with the recovery floors and the publish step (DESIGN §7a).
+  std::map<std::string, Timestamp> client_tf_ TFR_GUARDED_BY(mutex_);  // C: client -> TF(c)
+  std::map<std::string, Timestamp> server_tp_ TFR_GUARDED_BY(mutex_);  // S: server -> TP(s)
   /// Published thresholds: written under mutex_, readable lock-free (the
   /// hot global_tf()/global_tp() queries never touch the RM mutex).
   std::atomic<Timestamp> published_tf_{kNoTimestamp};

@@ -56,7 +56,7 @@ TEST_P(ChaosSoakTest, CommittedTransactionsSurviveGrayFailuresAndCrashes) {
   cfg.client.flusher_threads = 2;
   // Tiny memstores: writes spill to store files mid-schedule, so the
   // durability/atomicity reads below go through the bloom-pruned store-file
-  // path and the sharded block cache while faults are still being injected.
+  // path and the block cache while faults are still being injected.
   cfg.cluster.server.memstore_flush_bytes = 512;
   Testbed bed(cfg);
   ASSERT_TRUE(bed.start().is_ok());
@@ -232,7 +232,7 @@ TEST_P(ChaosSoakTest, CommittedTransactionsSurviveGrayFailuresAndCrashes) {
 
   // Read-path health: the durability/atomicity sweep above read through the
   // store-file path (tiny memstores force mid-schedule flushes) and the
-  // sharded block cache; print the cache's hit rate over the whole run.
+  // block cache; print the cache's hit rate over the whole run.
   {
     std::int64_t hits = 0, misses = 0;
     for (const auto& [name, value] : global_counter_snapshot()) {

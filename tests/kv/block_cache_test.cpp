@@ -16,11 +16,8 @@ BlockPtr block_of(std::size_t bytes) {
   return b;
 }
 
-// LRU-semantics tests pin num_shards=1: with striping, eviction order is a
-// per-stripe property and tiny test capacities would be split 16 ways.
-
 TEST(BlockCacheTest, MissLoadsThenHits) {
-  BlockCache cache(1024, /*num_shards=*/1);
+  BlockCache cache(1024);
   int loads = 0;
   auto loader = [&]() -> Result<BlockPtr> {
     ++loads;
@@ -34,7 +31,7 @@ TEST(BlockCacheTest, MissLoadsThenHits) {
 }
 
 TEST(BlockCacheTest, LoaderErrorPropagates) {
-  BlockCache cache(1024, 1);
+  BlockCache cache(1024);
   auto result = cache.get_or_load("k", []() -> Result<BlockPtr> {
     return Status::unavailable("dfs down");
   });
@@ -44,7 +41,7 @@ TEST(BlockCacheTest, LoaderErrorPropagates) {
 }
 
 TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
-  BlockCache cache(250, 1);
+  BlockCache cache(250);
   auto load100 = [] { return Result<BlockPtr>(block_of(100)); };
   ASSERT_TRUE(cache.get_or_load("a", load100).is_ok());
   ASSERT_TRUE(cache.get_or_load("b", load100).is_ok());
@@ -60,14 +57,14 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(BlockCacheTest, BytesTracked) {
-  BlockCache cache(10000, 1);
+  BlockCache cache(10000);
   ASSERT_TRUE(cache.get_or_load("a", [] { return Result<BlockPtr>(block_of(123)); }).is_ok());
   ASSERT_TRUE(cache.get_or_load("b", [] { return Result<BlockPtr>(block_of(77)); }).is_ok());
   EXPECT_EQ(cache.stats().bytes, 200);
 }
 
 TEST(BlockCacheTest, InvalidatePrefix) {
-  BlockCache cache(10000);  // default sharding: invalidation spans stripes
+  BlockCache cache(10000);
   auto load = [] { return Result<BlockPtr>(block_of(10)); };
   ASSERT_TRUE(cache.get_or_load("/sf1#0", load).is_ok());
   ASSERT_TRUE(cache.get_or_load("/sf1#1", load).is_ok());
@@ -89,11 +86,41 @@ TEST(BlockCacheTest, ClearEmptiesEverything) {
   EXPECT_EQ(cache.stats().bytes, 0);
 }
 
-TEST(BlockCacheTest, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(BlockCache(1 << 20).shard_count(), 16u);  // default
-  EXPECT_EQ(BlockCache(1 << 20, 1).shard_count(), 1u);
-  EXPECT_EQ(BlockCache(1 << 20, 5).shard_count(), 8u);
-  EXPECT_EQ(BlockCache(1 << 20, 64).shard_count(), 64u);
+TEST(BlockCacheTest, BlockWellBelowCapacityStaysCached) {
+  // The whole capacity is one LRU: a 100 KB block fits in a 1 MB cache.
+  BlockCache cache(1 << 20);
+  int loads = 0;
+  auto loader = [&]() -> Result<BlockPtr> {
+    ++loads;
+    return block_of(100 << 10);
+  };
+  ASSERT_TRUE(cache.get_or_load("big", loader).is_ok());
+  ASSERT_TRUE(cache.get_or_load("big", loader).is_ok());
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.stats().bytes, 100 << 10);
+}
+
+TEST(BlockCacheTest, FullCacheEvictsOnlyTheLeastRecentlyUsed) {
+  BlockCache cache(400);  // room for exactly 4 blocks of 100 bytes
+  int loads = 0;
+  auto load100 = [&]() -> Result<BlockPtr> {
+    ++loads;
+    return block_of(100);
+  };
+  for (const char* key : {"a", "b", "c", "d"}) ASSERT_TRUE(cache.get_or_load(key, load100).is_ok());
+  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.stats().bytes, 400);
+  ASSERT_TRUE(cache.get_or_load("a", load100).is_ok());  // touch a: b is LRU now
+  EXPECT_EQ(loads, 4);  // all four stayed resident
+
+  ASSERT_TRUE(cache.get_or_load("e", load100).is_ok());  // evicts b, and only b
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.stats().bytes, 400);
+  for (const char* key : {"a", "c", "d", "e"}) ASSERT_TRUE(cache.get_or_load(key, load100).is_ok());
+  EXPECT_EQ(loads, 5);  // every survivor hit
+  ASSERT_TRUE(cache.get_or_load("b", load100).is_ok());
+  EXPECT_EQ(loads, 6);  // the victim had to reload
 }
 
 TEST(BlockCacheTest, ConcurrentAccessIsSafe) {
@@ -114,7 +141,7 @@ TEST(BlockCacheTest, ConcurrentAccessIsSafe) {
 }
 
 TEST(BlockCacheTest, OversizedBlockDoesNotWedgeCache) {
-  BlockCache cache(100, 1);
+  BlockCache cache(100);
   ASSERT_TRUE(cache.get_or_load("big", [] { return Result<BlockPtr>(block_of(1000)); }).is_ok());
   // Eviction brings usage back under capacity (the big block itself goes).
   EXPECT_LE(cache.stats().bytes, 100);

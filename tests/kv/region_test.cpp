@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/clock.h"
+
 namespace tfr {
 namespace {
 
@@ -136,6 +138,37 @@ TEST_F(RegionTest, ReopenedRegionFindsItsStoreFiles) {
   ASSERT_TRUE(second.apply({Cell{"r2", "c", "more", 4, false}}));
   ASSERT_TRUE(second.flush_memstore().is_ok());
   EXPECT_EQ(second.store_file_count(), 2u);
+}
+
+TEST(RegionOpenTest, StoreFilesOpenConcurrently) {
+  // Every DFS block read costs 20 ms, and opening a store file reads three
+  // blocks (footer, index, meta): one file opens in ~60 ms, four opened
+  // one after another would take ~240 ms.
+  constexpr Micros kRead = 20'000;
+  DfsConfig config;
+  config.read_latency = kRead;
+  Dfs dfs(config);
+  BlockCache cache(1 << 20);
+  const RegionDescriptor desc{"t", "", ""};
+  {
+    Region writer(desc, dfs, cache);
+    ASSERT_TRUE(writer.load_store_files().is_ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(writer.apply({Cell{"r", "c", "v" + std::to_string(i), i + 1, false}}));
+      ASSERT_TRUE(writer.flush_memstore().is_ok());
+    }
+  }
+  Region reopened(desc, dfs, cache);
+  const std::int64_t reads_before = dfs.stats().block_reads;
+  const Micros start = now_micros();
+  ASSERT_TRUE(reopened.load_store_files().is_ok());
+  const Micros took = now_micros() - start;
+  const std::int64_t reads = dfs.stats().block_reads - reads_before;
+  EXPECT_EQ(reopened.store_file_count(), 4u);
+  EXPECT_EQ(reads, 12);
+  EXPECT_LT(took, reads * kRead / 2) << "store files opened one after another";
+  // The files keep their order: the newest flush wins.
+  EXPECT_EQ(reopened.get("r", "c", 10).value()->value, "v3");
 }
 
 TEST_F(RegionTest, StateTransitions) {

@@ -128,6 +128,42 @@ TEST_F(RecoveryManagerTest, CleanClientCloseReleasesTf) {
   EXPECT_TRUE(bed_.wait_stable(ts));
 }
 
+TEST_F(RecoveryManagerTest, RawClientSessionMaxMergesAndPinsTf) {
+  // Registry C by hand: a session the RM ingests like any client, but whose
+  // TF(c) payload the test controls.
+  const Timestamp pin = commit_one(bed_.client(0), Testbed::row_key(7));
+  ASSERT_TRUE(bed_.client(0).wait_flushed());
+  ASSERT_TRUE(bed_.wait_stable(pin));
+  const std::string registry_path = std::string(kClientRegistryPrefix) + "pinned";
+  ASSERT_TRUE(bed_.coord().create_session("clients", "pinned", seconds(30), pin).is_ok());
+  bed_.rm().refresh_now();
+  ASSERT_EQ(bed_.coord().get(registry_path), pin);
+
+  // A stale, lower TF(c) never lowers the entry (max-merge).
+  ASSERT_TRUE(bed_.coord().heartbeat("clients", "pinned", pin - 1).is_ok());
+  bed_.rm().refresh_now();
+  EXPECT_EQ(bed_.coord().get(registry_path), pin);
+
+  // While the session lives, its TF(c) bounds TF however far the real
+  // clients flush.
+  Timestamp last = kNoTimestamp;
+  for (int i = 0; i < 5; ++i) last = commit_one(bed_.client(i % 2), Testbed::row_key(8 + i));
+  ASSERT_GT(last, pin);
+  ASSERT_TRUE(bed_.client(0).wait_flushed());
+  ASSERT_TRUE(bed_.client(1).wait_flushed());
+  for (int i = 0; i < 3; ++i) {
+    bed_.rm().refresh_now();
+    EXPECT_LE(bed_.rm().global_tf(), pin);
+    sleep_millis(20);
+  }
+
+  // Closing the session drops its entry and releases TF.
+  ASSERT_TRUE(bed_.coord().close_session("clients", "pinned").is_ok());
+  EXPECT_TRUE(bed_.wait_stable(last));
+  EXPECT_GE(bed_.rm().global_tf(), last);
+  EXPECT_FALSE(bed_.coord().get(registry_path).has_value());
+}
+
 TEST_F(RecoveryManagerTest, RestartRecoversStateFromCoord) {
   const Timestamp ts = commit_one(bed_.client(0), Testbed::row_key(4));
   ASSERT_TRUE(bed_.client(0).wait_flushed());

@@ -1,6 +1,7 @@
 // Randomized concurrent property test for the flush-tracking pipeline:
-// FlushTracker (Algorithm 1) feeding a ShardedThresholdRegistry (the
-// recovery manager's registry C) under adversarial interleavings.
+// FlushTracker (Algorithm 1) feeding a registry C (client -> TF(c), a map
+// under a mutex, max-merged like the recovery manager's ingest) under
+// adversarial interleavings.
 //
 // Each trial runs 4 clients, each with a committer, an out-of-order
 // flusher, and an advancer thread, against one shared registry, and checks
@@ -9,10 +10,7 @@
 //   * TF(c) is monotone non-decreasing (every advance() return);
 //   * TF(c) stays strictly below the oldest unflushed commit timestamp
 //     (checker thread, against an oracle model of unflushed transactions);
-//   * the registry's lock-free min() is monotone non-decreasing while
-//     entries only rise, and equals min_c TF(c) exactly at quiesce;
-//   * erasing entries one by one recomputes min() correctly (the expiry
-//     path in the recovery manager).
+//   * at quiesce the registry holds exactly each client's final TF(c).
 //
 // Trials are seeded and replayable:  TFR_PROP_SEED=<seed> overrides the
 // schedule, TFR_PROP_ITERS=<n> the per-client transaction count. The seed
@@ -34,7 +32,6 @@
 
 #include "src/common/random.h"
 #include "src/recovery/flush_tracker.h"
-#include "src/recovery/threshold_registry.h"
 
 namespace tfr {
 namespace {
@@ -67,9 +64,8 @@ TEST_P(TrackerPropertyTest, InvariantsHoldUnderConcurrentCommitFlushInterleaving
               static_cast<unsigned long long>(txns_per_client()));
   const std::uint64_t n_txns = txns_per_client();
 
-  // 4 stripes for 4 clients: some clients share a stripe, so the test
-  // exercises both intra-stripe contention and cross-stripe aggregation.
-  ShardedThresholdRegistry registry(4);
+  std::mutex registry_mu;
+  std::map<std::string, Timestamp> registry;  // guarded by registry_mu
 
   // Oracle model. The mutex plays the role of the timestamp oracle's
   // critical section: commit-ts assignment, the unflushed-set insert, and
@@ -85,7 +81,7 @@ TEST_P(TrackerPropertyTest, InvariantsHoldUnderConcurrentCommitFlushInterleaving
   for (int c = 0; c < kClients; ++c) {
     trackers.push_back(std::make_unique<FlushTracker>(kNoTimestamp));
     ids.push_back("client-" + std::to_string(c));
-    registry.raise(ids[static_cast<std::size_t>(c)], kNoTimestamp);
+    registry[ids.back()] = kNoTimestamp;
   }
 
   std::atomic<int> committers_live{kClients};
@@ -152,7 +148,9 @@ TEST_P(TrackerPropertyTest, InvariantsHoldUnderConcurrentCommitFlushInterleaving
         EXPECT_GE(tf, last) << "TF(" << ids[static_cast<std::size_t>(c)]
                             << ") regressed";
         last = tf;
-        registry.raise(ids[static_cast<std::size_t>(c)], tf);
+        std::lock_guard<std::mutex> lock(registry_mu);
+        Timestamp& entry = registry[ids[static_cast<std::size_t>(c)]];
+        entry = std::max(entry, tf);
         std::this_thread::yield();
       }
     });
@@ -173,18 +171,6 @@ TEST_P(TrackerPropertyTest, InvariantsHoldUnderConcurrentCommitFlushInterleaving
               << ") covers an unflushed transaction";
         }
       }
-      std::this_thread::yield();
-    }
-  });
-
-  // Min-reader: while entries only rise (no erasures yet), the lock-free
-  // aggregate must be monotone non-decreasing.
-  threads.emplace_back([&] {
-    Timestamp last_min = registry.min();
-    while (!stop.load(std::memory_order_acquire)) {
-      const Timestamp m = registry.min();
-      EXPECT_GE(m, last_min) << "registry min() regressed under raises";
-      last_min = m;
       std::this_thread::yield();
     }
   });
@@ -220,92 +206,13 @@ TEST_P(TrackerPropertyTest, InvariantsHoldUnderConcurrentCommitFlushInterleaving
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
 
-  // At quiesce the registry holds exactly each client's final TF(c), and
-  // the lock-free aggregate equals min_c TF(c).
+  // At quiesce the registry holds exactly each client's final TF(c).
   ASSERT_EQ(registry.size(), static_cast<std::size_t>(kClients));
-  Timestamp expected_min = kMaxTimestamp;
   for (int c = 0; c < kClients; ++c) {
     const Timestamp tf = trackers[static_cast<std::size_t>(c)]->tf();
     EXPECT_EQ(tf, final_ts) << ids[static_cast<std::size_t>(c)]
                             << " did not drain to the final oracle ts";
-    const auto entry = registry.get(ids[static_cast<std::size_t>(c)]);
-    ASSERT_TRUE(entry.has_value());
-    EXPECT_EQ(*entry, tf);
-    expected_min = std::min(expected_min, tf);
-  }
-  EXPECT_EQ(registry.min(), expected_min);
-
-  // Expiry path: erase entries one at a time (ascending, so each erase can
-  // move the minimum) and check min() recomputes from the survivors.
-  auto entries = registry.snapshot();
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_TRUE(registry.erase(entries[i].first));
-    const Timestamp want =
-        i + 1 < entries.size() ? entries[i + 1].second : kMaxTimestamp;
-    EXPECT_EQ(registry.min(), want) << "after erasing " << entries[i].first;
-  }
-  EXPECT_EQ(registry.size(), 0u);
-}
-
-// Single-threaded randomized op sequence against a std::map reference model:
-// exercises raise/set/lower/erase mixes (the concurrent trial above only
-// raises) and checks get/size/min after every mutation.
-TEST_P(TrackerPropertyTest, RegistryMatchesReferenceModelUnderRandomOps) {
-  const std::uint64_t seed = effective_seed(GetParam());
-  SCOPED_TRACE("property seed " + std::to_string(seed) +
-               " — replay with TFR_PROP_SEED=" + std::to_string(seed));
-  Rng rng(seed ^ 0xFEEDULL);
-  ShardedThresholdRegistry registry(4);
-  std::map<std::string, Timestamp> model;
-
-  const int kOps = 2000;
-  for (int i = 0; i < kOps; ++i) {
-    const std::string id = "comp-" + std::to_string(rng.next_below(12));
-    const Timestamp ts = static_cast<Timestamp>(rng.next_in(1, 1000));
-    switch (rng.next_below(4)) {
-      case 0: {  // raise: max-merge
-        registry.raise(id, ts);
-        auto it = model.find(id);
-        if (it == model.end()) {
-          model[id] = ts;
-        } else {
-          it->second = std::max(it->second, ts);
-        }
-        break;
-      }
-      case 1: {  // set: verbatim
-        registry.set(id, ts);
-        model[id] = ts;
-        break;
-      }
-      case 2: {  // lower: min-merge
-        registry.lower(id, ts);
-        auto it = model.find(id);
-        if (it == model.end()) {
-          model[id] = ts;
-        } else {
-          it->second = std::min(it->second, ts);
-        }
-        break;
-      }
-      case 3: {  // erase
-        EXPECT_EQ(registry.erase(id), model.erase(id) > 0) << "op " << i;
-        break;
-      }
-    }
-    if (auto got = registry.get(id); got.has_value()) {
-      auto it = model.find(id);
-      ASSERT_NE(it, model.end()) << "op " << i << ": phantom entry " << id;
-      EXPECT_EQ(*got, it->second) << "op " << i;
-    } else {
-      EXPECT_EQ(model.count(id), 0u) << "op " << i << ": lost entry " << id;
-    }
-    EXPECT_EQ(registry.size(), model.size()) << "op " << i;
-    Timestamp want = kMaxTimestamp;
-    for (const auto& [_, v] : model) want = std::min(want, v);
-    EXPECT_EQ(registry.min(), want) << "op " << i;
+    EXPECT_EQ(registry[ids[static_cast<std::size_t>(c)]], tf);
   }
 }
 
