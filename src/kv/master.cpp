@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <thread>
 
 #include "src/common/backoff.h"
@@ -794,55 +795,39 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
     idle_cv_.notify_all();
   }
 
-  // HBase log splitting: group the failed server's durable WAL records by
-  // region (§2.1). Wal::split's worker pool fans out over block-aligned
-  // reads of every live segment, so the split costs about the WAL's blocks
-  // divided by the workers, and the server's rolls leave it only the
-  // segments holding un-flushed edits. Clean shutdowns flushed their
-  // memstores, so their edits are redundant — replaying them anyway is
-  // idempotent and exercises the same path. The split is all-or-nothing:
-  // a block read that exhausts its retries fails the whole split, and this
-  // outer loop retries it from scratch — assigning regions from a partial
-  // edit map would silently drop *durable* edits.
-  const Micros split_start = now_micros();
+  // From here recovery is a pipeline (DESIGN §8.4). This thread runs the
+  // HBase log split — it groups the failed server's durable WAL records by
+  // region (§2.1) — while the recovery workers below already place each
+  // region and open it, so a target loads the region's store files while
+  // the split reads the WAL. The open then waits for its region's edits,
+  // applies and syncs them, and only then fires the gate: split edits
+  // before the gate, the gate before online, as in §3.2.
+  //
+  // Wal::split's worker pool fans out over block-aligned reads of every
+  // live segment, so the split costs about the WAL's blocks divided by the
+  // workers, and the server's rolls leave it only the segments holding
+  // un-flushed edits. Clean shutdowns flushed their memstores, so their
+  // edits are redundant — replaying them anyway is idempotent and exercises
+  // the same path. The split is all-or-nothing: a block read that exhausts
+  // its retries fails the whole split, and the loop below retries it from
+  // scratch — opening regions from a partial edit map would silently drop
+  // *durable* edits.
+  const Micros recovery_start = now_micros();
+  std::promise<Status> split_promise;
+  const std::shared_future<Status> split_done = split_promise.get_future().share();
+  // Written by this thread before split_done becomes ready; read-only after.
   std::map<std::string, std::vector<WalRecord>> edits;
-  if (!wal_path.empty()) {
-    Backoff backoff(millis(1), millis(64));
-    for (;;) {
-      auto split = Wal::split(*dfs_, wal_path);
-      if (split.is_ok()) {
-        edits = std::move(split).value();
-        global_counter("master.wal_splits").add();
-        break;
-      }
-      if (split.status().is_not_found()) break;  // server never wrote a WAL
-      if (backoff.attempts() >= 20) {
-        // Exhausted: proceeding with an empty edit map would silently drop
-        // the durable edits this loop exists to protect. Fail the recovery
-        // visibly instead — the regions stay assigned to the dead server
-        // (clients keep retrying, the RM keeps them pending and TP pinned)
-        // and the counter lets tests and operators catch it.
-        global_counter("master.wal_split_failures").add();
-        TFR_LOG(ERROR, "master") << "WAL split failed for " << server_id << ": "
-                                 << split.status() << "; giving up after "
-                                 << backoff.attempts()
-                                 << " attempts; regions left unassigned, operator "
-                                    "intervention required";
-        return;
-      }
-      TFR_LOG(WARN, "master") << "WAL split failed for " << server_id << ": "
-                              << split.status() << "; retrying";
-      backoff.sleep();
-    }
-  }
-  global_gauge("master.last_split_us").set(now_micros() - split_start);
+  auto await_split = [&split_done]() -> Status {
+    TFR_BLOCKING_POINT("master.await_wal_split");
+    const std::shared_future<Status> mine = split_done;  // one copy per waiting thread
+    return mine.get();
+  };
 
   // Reassign and recover the affected regions concurrently (Algorithm 4).
   // Region recoveries are independent: each open_region replays its own WAL
   // edits and fires its own replay gate, and the recovery middleware's
   // per-region state tolerates concurrent gates. Workers claim regions off
   // a shared cursor so one slow open does not serialize the rest.
-  const Micros replay_start = now_micros();
   const std::size_t salt_base = std::hash<std::string>{}(server_id);
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> salt_counter{0};
@@ -852,6 +837,12 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= affected.size()) return;
       const RegionLocation& loc = affected[i];
+      const RegionServer::RecoveredEdits region_edits =
+          [&]() -> Result<std::vector<WalRecord>> {
+        TFR_RETURN_IF_ERROR(await_split());
+        auto it = edits.find(loc.region_name);
+        return it == edits.end() ? std::vector<WalRecord>{} : it->second;
+      };
       for (;;) {
         std::string target;
         RegionServer* stub = nullptr;
@@ -898,11 +889,16 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
           // becomes one write-set, routed by row against the *current*
           // assignment: the region may have been re-split, merged or moved
           // since the record was written.
-          auto eit = edits.find(loc.region_name);
-          if (eit != edits.end() && !eit->second.empty()) {
+          auto region_records = region_edits();
+          if (!region_records.is_ok()) {
+            TFR_LOG(ERROR, "master") << loc.region_name
+                                     << ": superseded, and its split-WAL edits are unknown ("
+                                     << region_records.status() << ")";
+          } else if (!region_records.value().empty()) {
+            const std::vector<WalRecord>& records = region_records.value();
             std::vector<WriteSet> redo;
-            redo.reserve(eit->second.size());
-            for (const WalRecord& rec : eit->second) {
+            redo.reserve(records.size());
+            for (const WalRecord& rec : records) {
               WriteSet ws{rec.txn_id, rec.client_id, rec.commit_ts, loc.descriptor.table, {}};
               for (const Cell& c : rec.cells) {
                 ws.mutations.push_back(Mutation{c.row, c.column, c.value, c.tombstone});
@@ -914,13 +910,13 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
                 redo, nullptr, std::nullopt, /*recovery_replay=*/true, kSupersededReplayRetries);
             if (replayed.is_ok()) {
               global_counter("master.superseded_edit_replays")
-                  .add(static_cast<std::int64_t>(eit->second.size()));
+                  .add(static_cast<std::int64_t>(records.size()));
               TFR_LOG(INFO, "master")
-                  << loc.region_name << ": re-flushed " << eit->second.size()
+                  << loc.region_name << ": re-flushed " << records.size()
                   << " split-WAL edits to the superseding owner";
             } else {
               TFR_LOG(ERROR, "master")
-                  << loc.region_name << ": could not re-flush " << eit->second.size()
+                  << loc.region_name << ": could not re-flush " << records.size()
                   << " split-WAL edits after supersession (" << replayed
                   << "); WAL segments kept, operator intervention required";
             }
@@ -937,13 +933,21 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
           all_recovered.store(false, std::memory_order_relaxed);
           break;
         }
-        auto it = edits.find(loc.region_name);
-        const auto& region_edits =
-            it == edits.end() ? std::vector<WalRecord>{} : it->second;
         Status s = stub->open_region(loc.descriptor, region_edits, loc.epoch);
         if (s.is_ok()) {
           TFR_LOG(INFO, "master") << loc.region_name << " reassigned " << server_id << " -> "
                                   << target;
+          break;
+        }
+        if (!await_split().is_ok()) {
+          // The split gave up, so the region's durable edits are unknown and
+          // it must not come online. open_region removed it from the target;
+          // hand it back to the dead server, as if no worker had placed it:
+          // clients keep retrying, and the RM keeps it pending with TP pinned.
+          MutexLock lock(mutex_);
+          auto ait = assignment_.find(loc.region_name);
+          if (ait != assignment_.end() && ait->second.epoch == loc.epoch) ait->second = loc;
+          all_recovered.store(false, std::memory_order_relaxed);
           break;
         }
         TFR_LOG(WARN, "master") << "open_region " << loc.region_name << " on " << target
@@ -958,24 +962,58 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
     }
   };
   const std::size_t workers = std::min<std::size_t>(kRecoveryWorkers, affected.size());
-  if (workers <= 1) {
-    recover_regions();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(recover_regions);
-    for (auto& t : pool) t.join();
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(recover_regions);
+
+  Status split_status = Status::ok();
+  if (!wal_path.empty()) {
+    Backoff backoff(millis(1), millis(64));
+    for (;;) {
+      auto split = Wal::split(*dfs_, wal_path);
+      if (split.is_ok()) {
+        edits = std::move(split).value();
+        global_counter("master.wal_splits").add();
+        break;
+      }
+      if (split.status().is_not_found()) break;  // server never wrote a WAL
+      if (backoff.attempts() >= 20) {
+        // Exhausted: proceeding with an empty edit map would silently drop
+        // the durable edits this loop exists to protect. Fail the recovery
+        // visibly instead — every open waiting on the split fails, and its
+        // worker hands the region back to the dead server (clients keep
+        // retrying, the RM keeps it pending and TP pinned); the counter
+        // lets tests and operators catch it.
+        global_counter("master.wal_split_failures").add();
+        TFR_LOG(ERROR, "master") << "WAL split failed for " << server_id << ": "
+                                 << split.status() << "; giving up after "
+                                 << backoff.attempts()
+                                 << " attempts; regions left unassigned, operator "
+                                    "intervention required";
+        split_status = split.status();
+        break;
+      }
+      TFR_LOG(WARN, "master") << "WAL split failed for " << server_id << ": "
+                              << split.status() << "; retrying";
+      backoff.sleep();
+    }
   }
-  global_gauge("master.last_replay_us").set(now_micros() - replay_start);
+  global_gauge("master.last_split_us").set(now_micros() - recovery_start);
+  split_promise.set_value(split_status);
+  for (auto& t : pool) t.join();
+  // The region phase runs from the workers' start to the last region
+  // online, so it now spans the split that overlaps it (DESIGN §6).
+  global_gauge("master.last_replay_us").set(now_micros() - recovery_start);
 
   // The old WAL is dead once every affected region is open elsewhere: the
   // split replayed its durable records into the new owners' memstores and
   // WALs, and the fence stops the old incarnation from writing more. Purge
   // it so a dead server's WAL does not pin DFS space forever — the
   // recycling counterpart of truncate_obsolete for servers that never come
-  // back. Skipped if any region could not be placed: the next operator
-  // action may need the segments.
-  if (!wal_path.empty() && all_recovered.load(std::memory_order_relaxed)) {
+  // back. Skipped if any region could not be placed or the split failed:
+  // the next operator action may need the segments.
+  if (!wal_path.empty() && split_status.is_ok() &&
+      all_recovered.load(std::memory_order_relaxed)) {
     const std::size_t purged = dfs_->purge_prefix(wal_path + ".");
     if (purged > 0) {
       global_counter("master.wal_purged_segments").add(static_cast<std::int64_t>(purged));

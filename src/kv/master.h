@@ -10,10 +10,12 @@
 //      thread waits out the TTL. Either way the takeover below is fenced.
 //   2. The master notifies the recovery-middleware hook (`on_server_failure`)
 //      — the hook the paper added to the HBase master (§3.2).
-//   3. It splits the failed server's WAL by region and reassigns each region
-//      to a live server, passing along that region's recovered edits. The
-//      receiving server replays them, then runs the region gate (recovery
-//      manager replay) before declaring the region online.
+//   3. It splits the failed server's WAL by region and, at the same time,
+//      reassigns each region to a live server, which loads the region's
+//      store files while the split runs. The receiving server then waits
+//      for that region's recovered edits, replays and syncs them, and runs
+//      the region gate (recovery manager replay of what the split did not
+//      recover) before declaring the region online.
 //
 // Regions are recovered independently (Algorithm 4's loop, fanned out over
 // a small worker pool), and distinct server failures are handled on their

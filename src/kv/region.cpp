@@ -52,9 +52,6 @@ Region::Region(RegionDescriptor desc, Dfs& dfs, BlockCache& cache,
 std::string Region::data_dir() const { return region_data_dir(desc_.name()); }
 
 Status Region::load_store_files() {
-  MutexLock lock(mutex_);
-  files_.clear();
-  ref_markers_.clear();
   // Store files are numbered; open in path order (oldest first) and flip
   // once at the end — front-inserting each file would be quadratic in the
   // file count. "ref-" sorts before "sf-", so a daughter's inherited
@@ -62,7 +59,7 @@ Status Region::load_store_files() {
   // than every file the daughter wrote itself.
   auto paths = dfs_->list(data_dir());
   std::sort(paths.begin(), paths.end());
-  // Each open is a few DFS round trips (marker, footer, index, meta). Open
+  // Each open is a few DFS round trips (marker, footer, index + meta). Open
   // the files concurrently, so a region opens in about one file's time
   // whatever its file count: a recovering region's open is on the recovery
   // path, and the file count at a crash depends on where the flush and
@@ -78,8 +75,6 @@ Status Region::load_store_files() {
       if (is_ref_marker(paths[i])) {
         // The marker's content is the real path of a retired parent's store
         // file (already resolved — markers never chain ref -> ref).
-        // tfr-lint: blocking-ok(open-time load: the region is not serving yet, and the
-        // lock only orders this against a concurrent open — kRegion is a leaf rank)
         auto real = dfs_->read_all(paths[i]);
         if (!real.is_ok()) {
           readers[i] = real.status();
@@ -96,6 +91,12 @@ Status Region::load_store_files() {
   worker();
   for (auto& t : pool) t.join();
 
+  // The DFS reads above run without the region lock: a heartbeat reads
+  // min_unflushed_wal_seq under it, and a slow store-file read must not
+  // stall the hosting server's lease renewal.
+  MutexLock lock(mutex_);
+  files_.clear();
+  ref_markers_.clear();
   std::uint64_t max_id = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     if (!readers[i].is_ok()) return readers[i].status();

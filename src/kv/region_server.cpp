@@ -509,7 +509,7 @@ Result<std::vector<Cell>> RegionServer::scan(const std::string& table, const std
 }
 
 Status RegionServer::open_region(const RegionDescriptor& desc,
-                                 const std::vector<WalRecord>& recovered_edits,
+                                 const RecoveredEdits& recovered_edits,
                                  std::uint64_t epoch) {
   if (!alive()) return down_status();
   auto region = std::make_shared<Region>(desc, *dfs_, cache_, config_.store_block_bytes);
@@ -522,42 +522,63 @@ Status RegionServer::open_region(const RegionDescriptor& desc,
     }
     regions_[desc.name()] = region;
   }
-  TFR_RETURN_IF_ERROR(region->load_store_files());
+  Status opened = open_registered(*region, recovered_edits);
+  if (!opened.is_ok()) {
+    // Leave nothing behind: the master re-homes the region or, when its WAL
+    // split failed, leaves it unserved; an entry here would serve nothing
+    // and refuse this server's next open of the region.
+    WriterLock lock(regions_mutex_);
+    auto it = regions_.find(desc.name());
+    if (it != regions_.end() && it->second == region) regions_.erase(it);
+  }
+  return opened;
+}
+
+Status RegionServer::open_registered(Region& region, const RecoveredEdits& recovered_edits) {
+  const std::string name = region.name();
+  TFR_RETURN_IF_ERROR(region.load_store_files());
 
   // HBase internal recovery: replay the split-WAL edits into a fresh
   // memstore (§2.1). WAL them locally too, so a crash of *this* server
   // before its next memstore flush does not re-lose them. The re-appended
   // records are re-stamped with OUR epoch: the old owner's stamp is fenced
   // by now, and these appends are the new epoch's writes.
-  for (const auto& edit : recovered_edits) {
+  std::vector<WalRecord> edits;
+  if (recovered_edits) {
+    auto fetched = recovered_edits();
+    if (!fetched.is_ok()) return fetched.status();
+    edits = std::move(fetched).value();
+  }
+  for (const auto& edit : edits) {
     WalRecord record = edit;
-    record.region = desc.name();
-    record.epoch = epoch;
+    record.region = name;
+    record.epoch = region.epoch();
     // Offline only if this server crashed mid-open (crash() forces every
     // region offline); the open fails and recovery re-homes the region.
     TFR_RETURN_IF_ERROR(
-        region->apply(edit.cells, [&] { return wal_->append(std::move(record)); }));
+        region.apply(edit.cells, [&] { return wal_->append(std::move(record)); }));
   }
-  if (!recovered_edits.empty()) {
+  if (!edits.empty()) {
     TFR_RETURN_IF_ERROR(wal_->sync());
-    TFR_LOG(INFO, "rs") << id_ << " replayed " << recovered_edits.size()
-                        << " split-WAL edits into " << desc.name();
+    TFR_LOG(INFO, "rs") << id_ << " replayed " << edits.size() << " split-WAL edits into "
+                        << name;
   }
 
   // The paper's hook: after internal recovery, before the region goes
-  // online, hand control to the recovery manager (§3.2).
+  // online, hand control to the recovery manager (§3.2). The edits above
+  // are synced, so the gate need not replay what they hold again.
   RegionGate gate;
   {
     MutexLock lock(hooks_mutex_);
     gate = region_gate_;
   }
   if (gate) {
-    region->set_state(RegionState::kGated);
-    gate(desc.name(), id_);
+    region.set_state(RegionState::kGated);
+    gate(name, id_, edits);
   }
   if (!alive()) return down_status();
-  region->set_state(RegionState::kOnline);
-  TFR_LOG(INFO, "rs") << id_ << " region online: " << desc.name();
+  region.set_state(RegionState::kOnline);
+  TFR_LOG(INFO, "rs") << id_ << " region online: " << name;
   return Status::ok();
 }
 

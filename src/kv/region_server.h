@@ -11,8 +11,9 @@
 //     coordination service; the recovery layer persists received write-sets
 //     (WAL sync) and returns the TP(s) payload to piggyback (Algorithm 3);
 //   * set_region_gate        — invoked after a region's internal (WAL-split)
-//     recovery completes and *before* it is declared online, so the recovery
-//     manager can replay un-persisted write-sets first (§3.2).
+//     recovery completes and *before* it is declared online, with the split
+//     edits just applied, so the recovery manager can replay the
+//     un-persisted write-sets the split did not recover (§3.2).
 //
 // Concurrency/latency model: every public RPC charges the configured network
 // latency in the caller's thread, then occupies one of `handler_slots`
@@ -170,12 +171,19 @@ class RegionServer {
   /// included.
   TFR_BLOCKING Status probe(const std::string& caller);
 
+  /// Where an opening region gets its split-WAL edits: empty for none,
+  /// otherwise called once the store files are loaded. It may block until
+  /// the master's WAL split has produced them (the split runs while the
+  /// region loads), and an error from it fails the open.
+  using RecoveredEdits = std::function<Result<std::vector<WalRecord>>()>;
+
   /// Open a region on this server: attach store files, replay split-WAL
   /// edits (internal recovery), run the region gate, declare online.
   /// `epoch` is the ownership epoch the master granted for this assignment
   /// (0 = unfenced); it is stamped on every WAL append and store-file
-  /// finalization the region performs here.
-  Status open_region(const RegionDescriptor& desc, const std::vector<WalRecord>& recovered_edits,
+  /// finalization the region performs here. A failed open leaves no trace
+  /// of the region on this server.
+  Status open_region(const RegionDescriptor& desc, const RecoveredEdits& recovered_edits,
                      std::uint64_t epoch = 0);
 
   Status close_region(const std::string& region_name);
@@ -227,8 +235,11 @@ class RegionServer {
   using WritesetObserver = std::function<void(const std::vector<Timestamp>& commit_ts,
                                               std::optional<Timestamp> piggyback_tp)>;
   using PreHeartbeatHook = std::function<Timestamp()>;
+  /// `recovered`: the split-WAL edits the region applied and synced before
+  /// its gate (empty when it had none).
   using RegionGate = std::function<void(const std::string& region_name,
-                                        const std::string& server_id)>;
+                                        const std::string& server_id,
+                                        const std::vector<WalRecord>& recovered)>;
 
   void set_writeset_observer(WritesetObserver observer);
   void set_pre_heartbeat_hook(PreHeartbeatHook hook);
@@ -292,6 +303,9 @@ class RegionServer {
   std::vector<Status> apply_frame(const std::vector<ApplyRequest>& slices);
   /// One slice: WAL-append and apply to the memstores of its regions.
   Status apply_slice(const ApplyRequest& req);
+  /// open_region's work once `region` is registered here: load its store
+  /// files, apply and sync its split-WAL edits, run the gate, go online.
+  Status open_registered(Region& region, const RecoveredEdits& recovered_edits);
   void heartbeat_tick();
   /// What an RPC to a server that is not alive answers: ServerDown once it
   /// has crashed, a plain Unavailable while it shuts down (or is mid-crash).

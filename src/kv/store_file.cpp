@@ -124,9 +124,19 @@ Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::st
                               ": " + reader->path_);
   }
 
-  auto index_data = dfs.read(reader->path_, index_offset, index_length);
-  if (!index_data.is_ok()) return index_data.status();
-  Decoder idec(index_data.value());
+  // The index and the meta are contiguous ([index][meta][footer]), so one
+  // read fetches both: with the footer's, an open costs two DFS reads.
+  if (meta_offset != index_offset + index_length ||
+      meta_offset + meta_length != size.value() - kFooterSize) {
+    return Status::corruption("store file index and meta not contiguous: " + reader->path_);
+  }
+  auto tail = dfs.read(reader->path_, index_offset, index_length + meta_length);
+  if (!tail.is_ok()) return tail.status();
+  if (tail.value().size() != index_length + meta_length) {
+    return Status::corruption("store file index and meta truncated: " + reader->path_);
+  }
+  const std::string_view tail_view(tail.value());
+  Decoder idec(tail_view.substr(0, index_length));
   std::uint32_t n = 0;
   TFR_RETURN_IF_ERROR(idec.get_u32(&n));
   reader->index_.resize(n);
@@ -136,9 +146,7 @@ Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::st
     TFR_RETURN_IF_ERROR(idec.get_u64(&e.length));
   }
 
-  auto meta_data = dfs.read(reader->path_, meta_offset, meta_length);
-  if (!meta_data.is_ok()) return meta_data.status();
-  Decoder mdec(meta_data.value());
+  Decoder mdec(tail_view.substr(index_length));
   std::uint32_t probes = 0;
   std::string bloom_bits;
   TFR_RETURN_IF_ERROR(mdec.get_string(&reader->first_row_));

@@ -76,8 +76,10 @@ class StoreFileWriter {
   std::vector<IndexEntry> index_;
 };
 
-/// Read side. Opening reads the footer+meta and index (two DFS reads);
-/// block fetches go through the shared BlockCache.
+/// Read side. Opening reads the footer, then the index and meta in one
+/// read, since they are contiguous (two DFS reads; a footer whose meta does
+/// not directly follow the index is corruption). Block fetches go through
+/// the shared BlockCache.
 class StoreFileReader {
  public:
   static Result<std::shared_ptr<StoreFileReader>> open(Dfs& dfs, std::string path);

@@ -1,5 +1,10 @@
 #include "src/recovery/recovery_client.h"
 
+#include <algorithm>
+#include <set>
+#include <string_view>
+#include <tuple>
+
 namespace tfr {
 
 namespace {
@@ -23,10 +28,27 @@ Status RecoveryClient::replay_for_client(const std::vector<WriteSet>& writesets)
 
 Status RecoveryClient::replay_for_region(const std::vector<WriteSet>& writesets,
                                          const RegionDescriptor& region,
-                                         Timestamp failed_server_tp) {
+                                         Timestamp failed_server_tp,
+                                         const std::vector<WalRecord>& recovered) {
+  // The region synced its split edits before the gate, so a write-set
+  // whose every in-region update is among their cells would add nothing.
+  // That is the usual case: apply_slice logs one record per region per
+  // slice. A write-set that reached the region in two slices (a stale
+  // route after a merge) and lost the later record is replayed whole
+  // (DESIGN §8.3).
+  std::set<std::tuple<Timestamp, std::string_view, std::string_view>> held;
+  for (const WalRecord& rec : recovered) {
+    for (const Cell& c : rec.cells) held.emplace(rec.commit_ts, c.row, c.column);
+  }
+  auto already_held = [&](const WriteSet& ws) {
+    return std::all_of(ws.mutations.begin(), ws.mutations.end(), [&](const Mutation& m) {
+      return held.count({ws.commit_ts, m.row, m.column}) != 0;
+    });
+  };
   // Algorithm 4, replay(): keep only the updates that fall in region r.
   std::vector<WriteSet> filtered;
   std::int64_t skipped = 0;
+  std::int64_t deduped = 0;
   for (const auto& ws : writesets) {
     WriteSet in_region;
     in_region.txn_id = ws.txn_id;
@@ -40,11 +62,17 @@ Status RecoveryClient::replay_for_region(const std::vector<WriteSet>& writesets,
         ++skipped;
       }
     }
-    if (!in_region.mutations.empty()) filtered.push_back(std::move(in_region));
+    if (in_region.mutations.empty()) continue;
+    if (already_held(in_region)) {
+      ++deduped;
+      continue;
+    }
+    filtered.push_back(std::move(in_region));
   }
   {
     MutexLock lock(mutex_);
     stats_.mutations_skipped += skipped;
+    stats_.region_writesets_deduped += deduped;
   }
   TFR_RETURN_IF_ERROR(kv_.flush_writesets(filtered, nullptr, failed_server_tp,
                                           /*recovery_replay=*/true));

@@ -26,6 +26,9 @@ struct RecoveryClientStats {
   std::int64_t region_writesets_replayed = 0;
   std::int64_t mutations_replayed = 0;
   std::int64_t mutations_skipped = 0;  // outside the recovering region
+  /// In-region write-sets not replayed because the region had just applied
+  /// every one of their in-region updates from the split WAL.
+  std::int64_t region_writesets_deduped = 0;
   std::int64_t flush_rpcs = 0;         // apply frames sent, retries included
 };
 
@@ -39,9 +42,12 @@ class RecoveryClient {
 
   /// Server recovery: replay only the updates of `writesets` that fall
   /// within `region`, piggybacking the failed server's TP(s). Write-sets
-  /// with no update in the region are skipped.
+  /// with no update in the region are skipped, and so are those whose
+  /// every in-region update is a cell of `recovered`, the split-WAL edits
+  /// the region applied and synced before its gate.
   Status replay_for_region(const std::vector<WriteSet>& writesets,
-                           const RegionDescriptor& region, Timestamp failed_server_tp);
+                           const RegionDescriptor& region, Timestamp failed_server_tp,
+                           const std::vector<WalRecord>& recovered);
 
   RecoveryClientStats stats() const;
 

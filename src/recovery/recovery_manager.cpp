@@ -434,7 +434,8 @@ bool RecoveryManager::is_region_recovering(const std::string& region) {
 }
 
 void RecoveryManager::on_region_recovered(const std::string& region_name,
-                                          const std::string& server_id) {
+                                          const std::string& server_id,
+                                          const std::vector<WalRecord>& recovered) {
   PendingRegion pending;
   {
     MutexLock lock(mutex_);
@@ -464,13 +465,14 @@ void RecoveryManager::on_region_recovered(const std::string& region_name,
   }
 
   // Replay every write-set committed after TPr(s) whose updates fall in
-  // this region, with TPr(s) piggybacked (inheritance, §3.2), as one batched
-  // apply frame per retry round: the target inherits and syncs its WAL once.
+  // this region and that the split WAL did not already recover, with
+  // TPr(s) piggybacked (inheritance, §3.2), as one batched apply frame per
+  // retry round: the target inherits and syncs its WAL once.
   const auto writesets =
       tm_->log().fetch_after(config_.ignore_thresholds ? kNoTimestamp : pending.tpr);
   std::int64_t replayed = static_cast<std::int64_t>(writesets.size());
   if (Status s = recovery_client_.replay_for_region(writesets, loc.value().descriptor,
-                                                    pending.tpr);
+                                                    pending.tpr, recovered);
       !s.is_ok()) {
     TFR_LOG(ERROR, "rm") << "region replay of " << writesets.size() << " write-sets into "
                          << region_name << " failed: " << s;

@@ -138,7 +138,11 @@ class RecoveryManager : public MasterHooks {
 
   /// Region gate, called by a region server after internal recovery and
   /// before the region goes online. Blocks for the transactional replay.
-  void on_region_recovered(const std::string& region_name, const std::string& server_id);
+  /// `recovered` are the split-WAL edits the region applied and synced
+  /// before the gate; a write-set they fully hold is not replayed again
+  /// (DESIGN §8.3).
+  void on_region_recovered(const std::string& region_name, const std::string& server_id,
+                           const std::vector<WalRecord>& recovered);
 
   // --- thresholds ------------------------------------------------------------
 

@@ -38,13 +38,14 @@ Testbed::Testbed(TestbedConfig config)
           },
           rm_->global_tp());
       tracker->install();
-      server.set_region_gate([this](const std::string& region, const std::string& server_id) {
+      server.set_region_gate([this](const std::string& region, const std::string& server_id,
+                                    const std::vector<WalRecord>& recovered) {
         // Shared-lock the RM pointer for the whole (possibly long) replay:
         // a concurrent RM restart waits for in-flight gates, and a gate that
         // fires during the swap window lands on the fresh instance — which
         // has reloaded the pending-region markers, so the replay still runs.
         ReaderLock lock(rm_mutex_);
-        if (rm_) rm_->on_region_recovered(region, server_id);
+        if (rm_) rm_->on_region_recovered(region, server_id, recovered);
       });
       trackers_.push_back(std::move(tracker));
     });

@@ -14,6 +14,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/kv/kv_client.h"
+#include "src/recovery/recovery_client.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -338,8 +339,9 @@ TEST_F(ServerRecoveryTest, ReplayedWritesSurviveTargetCrashRightAfterItsGate) {
   auto target = std::make_shared<std::atomic<int>>(-1);
   for (int i = 0; i < bed_.cluster().num_servers(); ++i) {
     bed_.cluster().server(i).set_region_gate(
-        [this, i, region, target](const std::string& name, const std::string& server_id) {
-          bed_.rm().on_region_recovered(name, server_id);
+        [this, i, region, target](const std::string& name, const std::string& server_id,
+                                  const std::vector<WalRecord>& recovered) {
+          bed_.rm().on_region_recovered(name, server_id, recovered);
           if (name == region) target->store(i, std::memory_order_release);
         });
   }
@@ -385,9 +387,10 @@ TEST_F(ServerRecoveryTest, SupersededReassignmentReFlushesSplitWalEdits) {
   auto fired = std::make_shared<std::atomic<bool>>(false);
   for (int i = 0; i < bed_.cluster().num_servers(); ++i) {
     bed_.cluster().server(i).set_region_gate(
-        [this, i, region, fired](const std::string& name, const std::string& server_id) {
+        [this, i, region, fired](const std::string& name, const std::string& server_id,
+                                 const std::vector<WalRecord>& recovered) {
           if (name != region || fired->exchange(true)) {
-            bed_.rm().on_region_recovered(name, server_id);
+            bed_.rm().on_region_recovered(name, server_id, recovered);
             return;
           }
           const std::uint64_t opened_at = bed_.master().region_epoch(name);
@@ -569,6 +572,123 @@ TEST(ProofTakeoverTest, PartitionedLiveServerWaitsOutItsTtl) {
   bed.wait_for_recovery();
   ASSERT_TRUE(bed.wait_stable(last));
   expect_rows(bed, kRows);
+}
+
+/// Commit `value-<i>` to row i for i in [from, to) and wait until flushed;
+/// returns the last commit timestamp.
+Timestamp commit_range(Testbed& bed, int from, int to) {
+  Timestamp last = kNoTimestamp;
+  for (int i = from; i < to; ++i) {
+    Transaction txn = bed.client().begin("t");
+    txn.put(Testbed::row_key(static_cast<std::uint64_t>(i)), "c", "value-" + std::to_string(i));
+    auto ts = txn.commit();
+    EXPECT_TRUE(ts.is_ok());
+    last = ts.value_or(last);
+  }
+  EXPECT_TRUE(bed.client().wait_flushed());
+  return last;
+}
+
+TEST(GateDedupTest, GateReplaysOnlyWhatTheSplitDidNotRecover) {
+  // Server heartbeats sync the WAL and move TP(s) up to TF. With them held
+  // off, the victim's TP(s) stays at its start, so every write-set below is
+  // a gate-replay candidate; the first kSynced are also durable in its WAL
+  // and come back through the split. The crash is taken over on proof.
+  TestbedConfig cfg = fast_test_config(3, 1);
+  cfg.cluster.server.wal_sync_interval = seconds(100);
+  cfg.cluster.server.heartbeat_interval = seconds(100);
+  cfg.cluster.server.session_ttl = seconds(300);
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+  constexpr int kSynced = 8;
+  constexpr int kUnsynced = 6;  // every row lies in the table's first region
+  const int victim = host_index(bed, Testbed::row_key(0));
+  RegionServer& dead = bed.cluster().server(victim);
+  commit_range(bed, 0, kSynced);
+  ASSERT_TRUE(dead.persist_wal().is_ok());
+  FaultRule rule;
+  rule.op = FaultOp::kDfsSync;
+  rule.target = dead.wal_path();
+  rule.error_probability = 1.0;
+  bed.fault().add_rule(rule);
+  const Timestamp last = commit_range(bed, kSynced, kSynced + kUnsynced);
+  const RecoveryClientStats before = bed.rm().recovery_client_stats();
+
+  bed.crash_server(victim);
+  bed.master().suspect_server(dead.id());
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+
+  const RecoveryClientStats after = bed.rm().recovery_client_stats();
+  EXPECT_EQ(after.region_writesets_replayed - before.region_writesets_replayed, kUnsynced);
+  EXPECT_EQ(after.region_writesets_deduped - before.region_writesets_deduped, kSynced);
+  bed.fault().clear_rules();
+  ASSERT_TRUE(bed.wait_stable(last));
+  expect_rows(bed, kSynced + kUnsynced);
+}
+
+TEST(RecoveryPipelineTest, RegionLoadsItsStoreFilesWhileTheWalSplits) {
+  // Slow DFS reads: each WAL read sleeps kWalRead, each store-file read
+  // kStoreRead. A region's open reads its store files (two reads per file)
+  // and only then waits for the split. If the loads overlap the split, the
+  // region's gate fires a sync and an apply after the split ends; if they
+  // wait for it, at least two store-file reads later.
+  constexpr Micros kWalRead = millis(300);
+  constexpr Micros kStoreRead = millis(100);
+  TestbedConfig cfg = fast_test_config(3, 1);
+  cfg.cluster.server.wal_sync_interval = seconds(100);
+  // The crash is taken over on proof, so the TTL only has to outlast the
+  // slow reads on every server.
+  cfg.cluster.server.session_ttl = seconds(5);
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+  const int victim = host_index(bed, Testbed::row_key(0));
+  RegionServer& dead = bed.cluster().server(victim);
+  const std::string region = bed.master().locate("t", Testbed::row_key(0)).value().region_name;
+  commit_range(bed, 0, 10);
+  ASSERT_TRUE(dead.region(region)->flush_memstore().is_ok());  // a store file to load
+  const Timestamp last = commit_range(bed, 10, 20);
+  ASSERT_TRUE(dead.persist_wal().is_ok());  // and WAL edits to split
+
+  auto gated_at = std::make_shared<std::atomic<Micros>>(0);
+  for (int i = 0; i < bed.cluster().num_servers(); ++i) {
+    bed.cluster().server(i).set_region_gate(
+        [&bed, region, gated_at](const std::string& name, const std::string& server_id,
+                                 const std::vector<WalRecord>& recovered) {
+          if (name == region) gated_at->store(now_micros(), std::memory_order_release);
+          bed.rm().on_region_recovered(name, server_id, recovered);
+        });
+  }
+  for (const char* prefix : {"/wal/", "/data/"}) {
+    FaultRule rule;
+    rule.op = FaultOp::kDfsRead;
+    rule.target = prefix;
+    rule.delay_probability = 1.0;
+    rule.delay = std::string(prefix) == "/wal/" ? kWalRead : kStoreRead;
+    bed.fault().add_rule(rule);
+  }
+
+  const Micros crashed_at = now_micros();
+  bed.crash_server(victim);
+  bed.master().suspect_server(dead.id());
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+  bed.fault().clear_rules();
+
+  const Micros split_us = global_gauge("master.last_split_us").get();
+  const Micros gate = gated_at->load(std::memory_order_acquire);
+  ASSERT_GT(gate, 0) << "the region was never gated";
+  EXPECT_GE(split_us, kWalRead);
+  // The split starts after the crash, so it ends no later than
+  // crashed_at + split_us + the takeover's own few hops.
+  const Micros after_split = gate - crashed_at - split_us;
+  std::printf("[ pipeline ] split %.0f ms; gate %.0f ms after the split ended\n",
+              static_cast<double>(split_us) / 1e3, static_cast<double>(after_split) / 1e3);
+  EXPECT_LT(after_split, kStoreRead) << "the store-file loads waited for the split";
+  ASSERT_TRUE(bed.wait_stable(last));
+  expect_rows(bed, 20);
 }
 
 // A proof report and the session expiry race for the same crashed server:

@@ -145,7 +145,7 @@ TEST_F(TopologyRecoveryTest, MergeOfRecoveringRegionIsRefused) {
 
   // Drain the obligation through the gate path (as a real reassignment
   // would), then the same merge goes through.
-  bed_.rm().on_region_recovered(left.region_name, left.server_id);
+  bed_.rm().on_region_recovered(left.region_name, left.server_id, {});
   ASSERT_FALSE(bed_.rm().is_region_recovering(left.region_name));
   ASSERT_TRUE(bed_.master().merge_regions(left.region_name, right.region_name).is_ok());
   ASSERT_EQ(bed_.master().table_regions("t").size(), 1u);

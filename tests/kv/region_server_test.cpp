@@ -128,16 +128,44 @@ TEST_F(RegionServerTest, OpenRegionReplaysRecoveredEdits) {
   edit.commit_ts = 3;
   edit.cells.push_back(Cell{"rx", "c", "recovered", 3, false});
   edits.push_back(edit);
-  ASSERT_TRUE(server_.open_region(RegionDescriptor{"t2", "", ""}, edits).is_ok());
+  std::vector<Timestamp> gate_saw;
+  server_.set_region_gate([&](const std::string&, const std::string&,
+                              const std::vector<WalRecord>& recovered) {
+    for (const WalRecord& rec : recovered) gate_saw.push_back(rec.commit_ts);
+    // The gate runs only once the edits are durable here.
+    EXPECT_GE(server_.wal().synced_seq(), 1u);
+  });
+  ASSERT_TRUE(server_.open_region(RegionDescriptor{"t2", "", ""}, [&] { return edits; }).is_ok());
   EXPECT_EQ(server_.get("t2", "rx", "c", 10).value()->value, "recovered");
-  // The edits were re-WAL'd and synced on this server.
+  // The edits were re-WAL'd and synced on this server, and the gate was
+  // handed what they recovered.
   EXPECT_GE(server_.wal().synced_seq(), 1u);
+  EXPECT_EQ(gate_saw, std::vector<Timestamp>{3});
+}
+
+TEST_F(RegionServerTest, OpenWhoseEditsFailLeavesNoRegionBehind) {
+  // The master's WAL split gave up: the open fails after its store files
+  // loaded, never reaches the gate, and the region is not left on the server.
+  bool gated = false;
+  server_.set_region_gate([&](const std::string&, const std::string&,
+                              const std::vector<WalRecord>&) { gated = true; });
+  const RegionServer::RecoveredEdits failing = []() -> Result<std::vector<WalRecord>> {
+    return Status::unavailable("split failed");
+  };
+  EXPECT_TRUE(server_.open_region(RegionDescriptor{"t7", "", ""}, failing).is_unavailable());
+  EXPECT_FALSE(gated);
+  EXPECT_EQ(server_.region("t7,"), nullptr);
+  // Nothing stale blocks a later open of the same region.
+  ASSERT_TRUE(server_.open_region(RegionDescriptor{"t7", "", ""}, {}).is_ok());
+  EXPECT_TRUE(gated);
 }
 
 TEST_F(RegionServerTest, RegionGateRunsBeforeOnline) {
   std::string gated_region;
   RegionState state_in_gate = RegionState::kOffline;
-  server_.set_region_gate([&](const std::string& region, const std::string& server_id) {
+  server_.set_region_gate([&](const std::string& region, const std::string& server_id,
+                              const std::vector<WalRecord>& recovered) {
+    EXPECT_TRUE(recovered.empty());
     gated_region = region;
     EXPECT_EQ(server_id, "rs1");
     state_in_gate = server_.region(region)->state();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/common/clock.h"
 
 namespace tfr {
@@ -141,9 +143,9 @@ TEST_F(RegionTest, ReopenedRegionFindsItsStoreFiles) {
 }
 
 TEST(RegionOpenTest, StoreFilesOpenConcurrently) {
-  // Every DFS block read costs 20 ms, and opening a store file reads three
-  // blocks (footer, index, meta): one file opens in ~60 ms, four opened
-  // one after another would take ~240 ms.
+  // Every DFS block read costs 20 ms, and opening a store file reads two
+  // blocks (footer, then index + meta): one file opens in ~40 ms, four
+  // opened one after another would take ~160 ms.
   constexpr Micros kRead = 20'000;
   DfsConfig config;
   config.read_latency = kRead;
@@ -165,10 +167,37 @@ TEST(RegionOpenTest, StoreFilesOpenConcurrently) {
   const Micros took = now_micros() - start;
   const std::int64_t reads = dfs.stats().block_reads - reads_before;
   EXPECT_EQ(reopened.store_file_count(), 4u);
-  EXPECT_EQ(reads, 12);
+  EXPECT_EQ(reads, 8);
   EXPECT_LT(took, reads * kRead / 2) << "store files opened one after another";
   // The files keep their order: the newest flush wins.
   EXPECT_EQ(reopened.get("r", "c", 10).value()->value, "v3");
+}
+
+TEST(RegionOpenTest, LoadHoldsNoLockAcrossItsDfsReads) {
+  // The hosting server's heartbeat reads min_unflushed_wal_seq under the
+  // region lock; a load that held it across two 100 ms reads would stall
+  // the lease renewal that long.
+  constexpr Micros kRead = 100'000;
+  DfsConfig config;
+  config.read_latency = kRead;
+  Dfs dfs(config);
+  BlockCache cache(1 << 20);
+  const RegionDescriptor desc{"t", "", ""};
+  {
+    Region writer(desc, dfs, cache);
+    ASSERT_TRUE(writer.load_store_files().is_ok());
+    ASSERT_TRUE(writer.apply({Cell{"r", "c", "v", 1, false}}));
+    ASSERT_TRUE(writer.flush_memstore().is_ok());
+  }
+  Region reopened(desc, dfs, cache);
+  std::thread load([&] { ASSERT_TRUE(reopened.load_store_files().is_ok()); });
+  sleep_micros(kRead / 4);  // the load is inside its first read
+  const Micros start = now_micros();
+  EXPECT_EQ(reopened.min_unflushed_wal_seq(), 0u);
+  const Micros waited = now_micros() - start;
+  load.join();
+  EXPECT_LT(waited, kRead / 2) << "the region lock was held across the store-file reads";
+  EXPECT_EQ(reopened.store_file_count(), 1u);
 }
 
 TEST_F(RegionTest, StateTransitions) {

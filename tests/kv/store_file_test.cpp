@@ -266,6 +266,41 @@ TEST_F(StoreFileTest, BloomFalsePositiveStillCorrect) {
   EXPECT_FALSE(got.value().has_value());
 }
 
+TEST_F(StoreFileTest, OpenTakesTwoDfsReads) {
+  // The footer, then the contiguous index + meta in one read. The file is
+  // far smaller than a DFS block, so each read touches exactly one block.
+  StoreFileWriter writer;
+  for (int i = 0; i < 50; ++i) writer.add(Cell{"r" + std::to_string(100 + i), "c", "v", 1, false});
+  ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
+  const auto before = dfs_.stats().block_reads;
+  auto reader = StoreFileReader::open(dfs_, "/sf");
+  ASSERT_TRUE(reader.is_ok()) << reader.status();
+  EXPECT_EQ(dfs_.stats().block_reads - before, 2);
+  EXPECT_EQ(reader.value()->first_row(), "r100");
+  EXPECT_EQ(reader.value()->last_row(), "r149");
+  EXPECT_TRUE(reader.value()->may_contain_row("r120"));
+}
+
+TEST_F(StoreFileTest, MetaNotFollowingIndexIsCorruption) {
+  StoreFileWriter writer;
+  writer.add(Cell{"a", "c", "v", 1, false});
+  ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
+  std::string bytes = dfs_.read_all("/sf").value();
+  // Footer: index_offset, index_length, meta_offset, meta_length, max_ts,
+  // version, magic. Shift meta_offset one byte past the index's end.
+  constexpr std::size_t kFooter = 8 + 8 + 8 + 8 + 8 + 4 + 4;
+  const std::size_t meta_offset_at = bytes.size() - kFooter + 16;
+  Decoder dec(std::string_view(bytes).substr(meta_offset_at, 8));
+  std::uint64_t meta_offset = 0;
+  ASSERT_TRUE(dec.get_u64(&meta_offset).is_ok());
+  std::string shifted;
+  Encoder enc(&shifted);
+  enc.put_u64(meta_offset + 1);
+  bytes.replace(meta_offset_at, 8, shifted);
+  ASSERT_TRUE(dfs_.write_file("/gap", bytes).is_ok());
+  EXPECT_EQ(StoreFileReader::open(dfs_, "/gap").status().code(), Code::kCorruption);
+}
+
 TEST_F(StoreFileTest, BlockReadsGoThroughCache) {
   StoreFileWriter writer;
   writer.add(Cell{"a", "c", "v", 1, false});

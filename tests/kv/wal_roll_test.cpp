@@ -316,7 +316,7 @@ TEST(WalRollTest, RollAndReclaimRacingAppliesLosesNoRecord) {
   ASSERT_TRUE(edits.is_ok()) << edits.status();
   RegionServer successor("rs2", dfs, coord, cfg);
   ASSERT_TRUE(successor.start().is_ok());
-  ASSERT_TRUE(successor.open_region(desc, edits.value()["t,"]).is_ok());
+  ASSERT_TRUE(successor.open_region(desc, [&] { return edits.value()["t,"]; }).is_ok());
   std::size_t checked = 0;
   for (const auto& rows : acked) {
     for (const std::string& row : rows) {

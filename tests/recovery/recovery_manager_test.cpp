@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "src/common/fault.h"
+#include "src/kv/kv_client.h"
+#include "src/recovery/recovery_client.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -191,6 +193,43 @@ TEST_F(RecoveryManagerTest, ProcessingContinuesWhileRmIsDown) {
   ASSERT_TRUE(bed_.client(0).wait_flushed());
   bed_.restart_recovery_manager();
   EXPECT_TRUE(bed_.wait_stable(ts));
+}
+
+TEST_F(RecoveryManagerTest, RegionReplaySkipsOnlyWriteSetsTheSplitEditsFullyHold) {
+  // Both write-sets fall in the table's first region. The split edits hold
+  // the first whole, but only one of the second's two rows, as when a
+  // write-set reached the region in two slices and the later record was
+  // lost. Only the second is replayed, and whole.
+  RecoveryClient replayer(bed_.master());
+  const std::string a = Testbed::row_key(1), b = Testbed::row_key(2), c = Testbed::row_key(3);
+  const RegionLocation loc = bed_.master().locate("t", a).value();
+  ASSERT_TRUE(loc.descriptor.contains(c));
+  constexpr Timestamp kT1 = 1'000'001;
+  constexpr Timestamp kT2 = 1'000'002;
+  const std::vector<WriteSet> writesets = {
+      WriteSet{1, "c0", kT1, "t", {Mutation{a, "c", "one", false}}},
+      WriteSet{2, "c0", kT2, "t", {Mutation{b, "c", "two", false}, Mutation{c, "c", "two", false}}}};
+  std::vector<WalRecord> recovered(2);
+  recovered[0].region = recovered[1].region = loc.region_name;
+  recovered[0].commit_ts = kT1;
+  recovered[0].cells = {Cell{a, "c", "one", kT1, false}};
+  recovered[1].commit_ts = kT2;
+  recovered[1].cells = {Cell{b, "c", "two", kT2, false}};
+
+  ASSERT_TRUE(replayer.replay_for_region(writesets, loc.descriptor, bed_.rm().global_tp(),
+                                         recovered).is_ok());
+  const RecoveryClientStats stats = replayer.stats();
+  EXPECT_EQ(stats.region_writesets_deduped, 1);
+  EXPECT_EQ(stats.region_writesets_replayed, 1);
+  EXPECT_EQ(stats.mutations_replayed, 2);
+  KvClient reader(bed_.master());
+  auto dropped = reader.get("t", a, "c", kT2);
+  ASSERT_TRUE(dropped.is_ok());
+  EXPECT_FALSE(dropped.value().has_value()) << "a write-set the split held was replayed";
+  auto missing = reader.get("t", c, "c", kT2);
+  ASSERT_TRUE(missing.is_ok());
+  ASSERT_TRUE(missing.value().has_value()) << "the partly held write-set was not replayed";
+  EXPECT_EQ(missing.value()->value, "two");
 }
 
 TEST_F(RecoveryManagerTest, StatsCountRefreshes) {
