@@ -5,15 +5,19 @@
 // recovery log, as replaying write-sets is idempotent. ... However,
 // replaying all write-sets would be extremely inefficient."
 //
-// This bench quantifies that: for growing run lengths (log sizes), crash a
-// region server and measure how many write-sets the recovery manager
-// replays and how long the region outage lasts, with
-//   (a) the paper's TF/TP threshold tracking, and
-//   (b) the ablated replay-everything baseline (ignore_thresholds).
+// This bench quantifies that: for run lengths of 1x, 3x and 10x (log
+// sizes), crash a region server and measure how many write-sets the
+// recovery manager replays, how many records the TM log still holds at the
+// crash, and how long the region outage lasts, with
+//   (a) the paper's TF/TP threshold tracking, whose checkpoint lets segment
+//       GC reclaim the log below TP, and
+//   (b) the ablated replay-everything baseline (ignore_thresholds, which
+//       also disables checkpoint truncation).
 //
 // Shape target: (a) replays a bounded number of write-sets (determined by
-// throughput x heartbeat interval, §3.1) and its recovery time stays flat;
-// (b) grows linearly with the run length.
+// throughput x heartbeat interval, §3.1), segment GC keeps its retained
+// log bounded, and its recovery time at 10x stays within 2x of 1x; (b)
+// grows linearly with the run length.
 #include "bench/bench_common.h"
 
 using namespace tfr;
@@ -24,7 +28,8 @@ namespace {
 struct Outcome {
   std::int64_t replayed = 0;
   double recovery_seconds = 0;
-  std::int64_t log_records = 0;
+  std::int64_t log_records = 0;       // replayable (above the checkpoint)
+  std::int64_t retained_records = 0;  // still held in segments
 };
 
 Outcome run_once(bool ignore_thresholds, int txns) {
@@ -41,6 +46,8 @@ Outcome run_once(bool ignore_thresholds, int txns) {
   cfg.client.heartbeat_interval = millis(200);
   cfg.client.session_ttl = millis(600);
   cfg.txn_log.sync_latency = 200;
+  // Small segments so the shortest run spans several and GC has work to do.
+  cfg.txn_log.segment_records = 256;
   cfg.recovery.poll_interval = millis(50);
   cfg.recovery.ignore_thresholds = ignore_thresholds;
 
@@ -62,7 +69,9 @@ Outcome run_once(bool ignore_thresholds, int txns) {
   (void)bed.client().wait_flushed(seconds(120));
 
   Outcome out;
-  out.log_records = bed.tm().log().stats().live_records;
+  const TxnLogStats log = bed.tm().log().stats();
+  out.log_records = log.live_records;
+  out.retained_records = log.retained_records;
 
   const Micros t0 = now_micros();
   bed.crash_server(0);
@@ -79,26 +88,30 @@ int main() {
   print_header("Ablation A1: threshold-based recovery vs replay-the-whole-log",
                "§3's motivation for lightweight checkpointing");
 
-  const int scale = bench_scale() < 1.0 ? 2 : 1;
-  const int run_lengths[] = {500 / scale, 2000 / scale, 8000 / scale};
+  const int base = bench_scale() < 1.0 ? 400 : 800;
+  const int multipliers[] = {1, 3, 10};
 
-  std::printf("%-12s %-14s %-22s %-20s %-14s\n", "run_txns", "mode", "log_records_at_crash",
-              "writesets_replayed", "recovery_s");
+  std::printf("%-12s %-14s %-22s %-18s %-20s %-14s\n", "run_txns", "mode",
+              "log_records_at_crash", "retained_records", "writesets_replayed", "recovery_s");
   double tracked_worst = 0, replay_all_worst = 0;
   std::int64_t tracked_replayed_max = 0, replay_all_replayed_max = 0;
-  for (const int txns : run_lengths) {
+  Outcome tracked_1x, tracked_10x, replay_all_10x;
+  for (const int m : multipliers) {
     for (const bool ignore : {false, true}) {
-      const Outcome o = run_once(ignore, txns);
-      std::printf("%-12d %-14s %-22lld %-20lld %-14.2f\n", txns,
-                  ignore ? "replay-all" : "thresholds",
-                  static_cast<long long>(o.log_records),
-                  static_cast<long long>(o.replayed), o.recovery_seconds);
+      const Outcome o = run_once(ignore, base * m);
+      std::printf("%-12d %-14s %-22lld %-18lld %-20lld %-14.2f\n", base * m,
+                  ignore ? "replay-all" : "thresholds", static_cast<long long>(o.log_records),
+                  static_cast<long long>(o.retained_records), static_cast<long long>(o.replayed),
+                  o.recovery_seconds);
       if (ignore) {
         replay_all_worst = std::max(replay_all_worst, o.recovery_seconds);
         replay_all_replayed_max = std::max(replay_all_replayed_max, o.replayed);
+        if (m == 10) replay_all_10x = o;
       } else {
         tracked_worst = std::max(tracked_worst, o.recovery_seconds);
         tracked_replayed_max = std::max(tracked_replayed_max, o.replayed);
+        if (m == 1) tracked_1x = o;
+        if (m == 10) tracked_10x = o;
       }
     }
   }
@@ -112,5 +125,14 @@ int main() {
   std::printf("worst recovery time: thresholds=%.2fs, replay-all=%.2fs %s\n", tracked_worst,
               replay_all_worst,
               tracked_worst <= replay_all_worst ? "[OK]" : "[UNEXPECTED]");
+  std::printf("retained log records at 10x: thresholds=%lld, replay-all=%lld %s\n",
+              static_cast<long long>(tracked_10x.retained_records),
+              static_cast<long long>(replay_all_10x.retained_records),
+              tracked_10x.retained_records < replay_all_10x.retained_records / 2
+                  ? "[OK: GC keeps it bounded]"
+                  : "[UNEXPECTED]");
+  const double ratio = tracked_10x.recovery_seconds / tracked_1x.recovery_seconds;
+  std::printf("thresholds recovery time at 10x vs 1x: %.2fx %s\n", ratio,
+              ratio <= 2.0 ? "[OK: recovery time plateaus]" : "[UNEXPECTED]");
   return 0;
 }

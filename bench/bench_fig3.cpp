@@ -12,7 +12,9 @@
 //   * no committed transaction is lost.
 //
 // Output: the two time series (one row per second), recovery-phase
-// annotations, and a durability audit.
+// annotations, and a durability audit. YcsbDriver records 100 ms buckets:
+// recovery takes a few hundred milliseconds, so a 1 s bucket averages the
+// outage away and only the fine series shows the drop.
 #include "bench/bench_common.h"
 
 using namespace tfr;
@@ -46,7 +48,7 @@ int main() {
   d.threads = 50;
   d.target_tps = 250;
   d.duration = duration;
-  d.series_interval = seconds(1);
+  d.series_interval = millis(100);
 
   Micros recovery_started = 0, recovery_finished = 0;
   YcsbDriver driver(bed, w, d);
@@ -71,9 +73,21 @@ int main() {
 
   std::printf("\n# time series (crash at t=%.0fs)\n", static_cast<double>(crash_at) / 1e6);
   std::printf("%-8s %-14s %-14s %-10s\n", "t_s", "throughput_tps", "mean_ms", "errors");
-  for (const auto& p : report.series) {
-    std::printf("%-8.0f %-14.1f %-14.2f %-10llu\n", p.t_seconds, p.throughput,
-                p.mean_latency_ms, static_cast<unsigned long long>(p.errors));
+  constexpr std::size_t kPerRow = 10;  // 100 ms buckets per printed second
+  for (std::size_t i = 0; i < report.series.size(); i += kPerRow) {
+    const std::size_t end = std::min(i + kPerRow, report.series.size());
+    double tps_sum = 0, latency_sum = 0;
+    std::uint64_t errors = 0;
+    for (std::size_t j = i; j < end; ++j) {
+      const SeriesPoint& p = report.series[j];
+      tps_sum += p.throughput;
+      latency_sum += p.throughput * p.mean_latency_ms;
+      errors += p.errors;
+    }
+    std::printf("%-8.1f %-14.1f %-14.2f %-10llu\n", report.series[end - 1].t_seconds,
+                tps_sum / static_cast<double>(end - i),
+                tps_sum > 0 ? latency_sum / tps_sum : 0.0,
+                static_cast<unsigned long long>(errors));
   }
 
   print_report_row("\noverall", report);
@@ -112,7 +126,7 @@ int main() {
   pre /= std::max(pre_n, 1);
   post /= std::max(post_n, 1);
   std::printf("pre-failure throughput  : %.1f tps\n", pre);
-  std::printf("min throughput after crash: %.1f tps %s\n", dip,
+  std::printf("min throughput after crash: %.1f tps (100 ms buckets) %s\n", dip,
               dip < 0.5 * pre ? "[OK: sharp drop]" : "[UNEXPECTED]");
   std::printf("end-of-run throughput   : %.1f tps %s\n", post,
               post > 0.8 * pre ? "[OK: recovered to pre-failure level]" : "[UNEXPECTED]");

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Run every paper-reproduction benchmark sequentially and collect the output.
-# Usage: scripts/run_benches.sh [build-dir] [output-file]
-# Honour TFR_BENCH_SCALE (e.g. 0.3) for quicker smoke runs.
+# Run every bench/*.cpp binary in turn and collect the output: the paper's
+# Figures 2(a), 2(b) and 3, ablations A1-A3, bench_micro and bench_commit.
+# Usage: scripts/run_benches.sh [build-dir (default build)] [output-file
+#        (default bench_output.txt)]
+# TFR_BENCH_SCALE (e.g. 0.3) shortens the runs of the benches that honour it.
 #
 # Every BENCH_*.json a bench writes is also appended to BENCH_history.jsonl
 # as one line {"ts": ..., "file": ..., "data": {...}} so runs accumulate and
@@ -63,7 +65,7 @@ done
 # Results the suite is REQUIRED to produce: a bench that silently stopped
 # writing its JSON would otherwise just thin out the history. Must have been
 # refreshed by this run, not left over from an old one.
-for required in BENCH_recovery.json BENCH_failover.json BENCH_split.json; do
+for required in BENCH_commit.json; do
   if [ ! -f "$required" ] || [ ! "$required" -nt "$STAMP" ]; then
     echo "run_benches: required result '$required' was not produced by this run" >&2
     exit 1

@@ -21,12 +21,10 @@
 //
 // Seed count: 3 by default (ctest smoke); a soak sets TFR_CASCADE_SEEDS=N
 // (check.sh soak-recovery runs 20 under TSan). Reproduce one schedule with:
-//   TFR_CHAOS_SEED=<seed> ./integration_tests \
-//     --gtest_filter='Seeds/CascadeSoakTest.*'
+//   TFR_CHAOS_SEED=<seed> ./integration_tests --gtest_filter='Seeds/CascadeSoakTest.*'
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -36,6 +34,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/testbed/testbed.h"
+#include "tests/integration/soak_seed.h"
 
 namespace tfr {
 namespace {
@@ -46,29 +45,11 @@ constexpr int kWriterThreads = 3;
 constexpr int kTxnsPerThread = 40;
 constexpr int kNumServers = 4;  // two may die and regions still have homes
 
-std::uint64_t effective_seed(std::uint64_t param) {
-  if (const char* env = std::getenv("TFR_CHAOS_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return param;
-}
-
-std::uint64_t cascade_seed_count() {
-  if (const char* env = std::getenv("TFR_CASCADE_SEEDS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::uint64_t>(n);
-  }
-  return 3;
-}
-
 class CascadeSoakTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CascadeSoakTest, SecondFailureDuringRecoveryNeverLosesGcdWriteSets) {
-  const std::uint64_t seed = effective_seed(GetParam());
-  SCOPED_TRACE("cascade seed " + std::to_string(seed) +
-               " — replay with TFR_CHAOS_SEED=" + std::to_string(seed));
-  std::printf("[ cascade  ] seed %llu%s\n", static_cast<unsigned long long>(seed),
-              std::getenv("TFR_CHAOS_SEED") ? " (from TFR_CHAOS_SEED)" : "");
+  const std::uint64_t seed = soak::run_seed("cascade", GetParam());
+  SCOPED_TRACE(soak::replay_hint("cascade", seed));
   Rng rng(seed);
 
   TestbedConfig cfg = fast_test_config(kNumServers, kWriterThreads);
@@ -311,7 +292,8 @@ TEST_P(CascadeSoakTest, SecondFailureDuringRecoveryNeverLosesGcdWriteSets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CascadeSoakTest,
-                         ::testing::Range<std::uint64_t>(1, 1 + cascade_seed_count()));
+                         ::testing::Range<std::uint64_t>(
+                             1, 1 + soak::seed_count("TFR_CASCADE_SEEDS", 3)));
 
 }  // namespace
 }  // namespace tfr

@@ -11,11 +11,10 @@
 //   * ordering     — TP <= TF at every observation
 //   * liveness     — flushes drain and TF reaches the newest commit
 //
-// Reproduce a failing seed with:   TFR_CHAOS_SEED=<seed> ./integration_tests \
-//   --gtest_filter='Seeds/ChaosSoakTest.*'
+// Reproduce a failing seed with:
+//   TFR_CHAOS_SEED=<seed> ./integration_tests --gtest_filter='Seeds/ChaosSoakTest.*'
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -24,6 +23,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/testbed/testbed.h"
+#include "tests/integration/soak_seed.h"
 
 namespace tfr {
 namespace {
@@ -33,23 +33,11 @@ constexpr std::uint64_t kSingleRows = 200; // single-row txns draw from [0, 200)
 constexpr int kWriterThreads = 3;
 constexpr int kTxnsPerThread = 30;
 
-std::uint64_t effective_seed(std::uint64_t param) {
-  if (const char* env = std::getenv("TFR_CHAOS_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return param;
-}
-
 class ChaosSoakTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosSoakTest, CommittedTransactionsSurviveGrayFailuresAndCrashes) {
-  const std::uint64_t seed = effective_seed(GetParam());
-  SCOPED_TRACE("chaos seed " + std::to_string(seed) +
-               " — replay with TFR_CHAOS_SEED=" + std::to_string(seed));
-  // Visible on pass too, so a TFR_CHAOS_SEED replay confirms which schedule
-  // actually ran.
-  std::printf("[ chaos    ] seed %llu%s\n", static_cast<unsigned long long>(seed),
-              std::getenv("TFR_CHAOS_SEED") ? " (from TFR_CHAOS_SEED)" : "");
+  const std::uint64_t seed = soak::run_seed("chaos", GetParam());
+  SCOPED_TRACE(soak::replay_hint("chaos", seed));
   Rng rng(seed);
 
   TestbedConfig cfg = fast_test_config(3, kWriterThreads);

@@ -20,12 +20,10 @@
 //
 // Seed count: 3 by default (ctest smoke); check.sh soak-split runs 20 under
 // TSan via TFR_SPLIT_SEEDS=N. Reproduce one schedule with:
-//   TFR_CHAOS_SEED=<seed> ./integration_tests \
-//     --gtest_filter='Seeds/SplitSoakTest.*'
+//   TFR_CHAOS_SEED=<seed> ./integration_tests --gtest_filter='Seeds/SplitSoakTest.*'
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -35,6 +33,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/testbed/testbed.h"
+#include "tests/integration/soak_seed.h"
 
 namespace tfr {
 namespace {
@@ -45,29 +44,11 @@ constexpr int kWriterThreads = 3;
 constexpr int kTxnsPerThread = 30;
 constexpr int kNumServers = 4;
 
-std::uint64_t effective_seed(std::uint64_t param) {
-  if (const char* env = std::getenv("TFR_CHAOS_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return param;
-}
-
-std::uint64_t split_seed_count() {
-  if (const char* env = std::getenv("TFR_SPLIT_SEEDS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::uint64_t>(n);
-  }
-  return 3;
-}
-
 class SplitSoakTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SplitSoakTest, TopologyChurnDuringFailuresKeepsInvariants) {
-  const std::uint64_t seed = effective_seed(GetParam());
-  SCOPED_TRACE("split seed " + std::to_string(seed) +
-               " — replay with TFR_CHAOS_SEED=" + std::to_string(seed));
-  std::printf("[ split    ] seed %llu%s\n", static_cast<unsigned long long>(seed),
-              std::getenv("TFR_CHAOS_SEED") ? " (from TFR_CHAOS_SEED)" : "");
+  const std::uint64_t seed = soak::run_seed("split", GetParam());
+  SCOPED_TRACE(soak::replay_hint("split", seed));
   Rng rng(seed);
 
   const std::int64_t splits_before = global_counter("master.region_splits").get();
@@ -282,7 +263,8 @@ TEST_P(SplitSoakTest, TopologyChurnDuringFailuresKeepsInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitSoakTest,
-                         ::testing::Range<std::uint64_t>(1, 1 + split_seed_count()));
+                         ::testing::Range<std::uint64_t>(
+                             1, 1 + soak::seed_count("TFR_SPLIT_SEEDS", 3)));
 
 }  // namespace
 }  // namespace tfr

@@ -21,12 +21,11 @@
 //                    lapsed, and never on proof while it was still live
 //
 // Seed count: 1 by default (ctest smoke); a soak sets TFR_ZOMBIE_SEEDS=N.
-// Reproduce one schedule with:  TFR_CHAOS_SEED=<seed> ./integration_tests \
-//   --gtest_filter='Seeds/ZombiePartitionTest.*'
+// Reproduce one schedule with:
+//   TFR_CHAOS_SEED=<seed> ./integration_tests --gtest_filter='Seeds/ZombiePartitionTest.*'
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -36,6 +35,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/testbed/testbed.h"
+#include "tests/integration/soak_seed.h"
 
 namespace tfr {
 namespace {
@@ -49,21 +49,7 @@ constexpr int kWriterThreads = 2;
 // tens of milliseconds and must see continuous write pressure. The cap only
 // bounds the test if the cluster wedges.
 constexpr int kMaxTxnsPerThread = 4000;
-
-std::uint64_t effective_seed(std::uint64_t param) {
-  if (const char* env = std::getenv("TFR_CHAOS_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return param;
-}
-
-std::uint64_t zombie_seed_count() {
-  if (const char* env = std::getenv("TFR_ZOMBIE_SEEDS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::uint64_t>(n);
-  }
-  return 1;
-}
+const std::uint64_t kZombieSeeds = soak::seed_count("TFR_ZOMBIE_SEEDS", 1);
 
 // Whether any write actually lands on the zombie inside the post-bump
 // window is a wall-clock race the seed does not control, so kv.epoch_rejects
@@ -75,10 +61,10 @@ class ZombieSoakEnvironment : public ::testing::Environment {
  public:
   void SetUp() override { rejects_at_start_ = global_counter("kv.epoch_rejects").get(); }
   void TearDown() override {
-    if (zombie_seed_count() < 10) return;
+    if (kZombieSeeds < 10) return;
     EXPECT_GT(global_counter("kv.epoch_rejects").get(), rejects_at_start_)
         << "no stale-epoch write was ever rejected across "
-        << zombie_seed_count() << " zombie seeds";
+        << kZombieSeeds << " zombie seeds";
   }
 
  private:
@@ -90,11 +76,8 @@ const auto* const kZombieEnv =
 class ZombiePartitionTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ZombiePartitionTest, FencedTakeoverLeavesNoStaleWritesVisible) {
-  const std::uint64_t seed = effective_seed(GetParam());
-  SCOPED_TRACE("zombie seed " + std::to_string(seed) +
-               " — replay with TFR_CHAOS_SEED=" + std::to_string(seed));
-  std::printf("[ zombie   ] seed %llu%s\n", static_cast<unsigned long long>(seed),
-              std::getenv("TFR_CHAOS_SEED") ? " (from TFR_CHAOS_SEED)" : "");
+  const std::uint64_t seed = soak::run_seed("zombie", GetParam());
+  SCOPED_TRACE(soak::replay_hint("zombie", seed));
   Rng rng(seed);
 
   TestbedConfig cfg = fast_test_config(3, kWriterThreads);
@@ -306,7 +289,7 @@ TEST_P(ZombiePartitionTest, FencedTakeoverLeavesNoStaleWritesVisible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZombiePartitionTest,
-                         ::testing::Range<std::uint64_t>(1, 1 + zombie_seed_count()));
+                         ::testing::Range<std::uint64_t>(1, 1 + kZombieSeeds));
 
 }  // namespace
 }  // namespace tfr

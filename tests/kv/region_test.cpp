@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/metrics.h"
 
 namespace tfr {
 namespace {
@@ -198,6 +200,71 @@ TEST(RegionOpenTest, LoadHoldsNoLockAcrossItsDfsReads) {
   load.join();
   EXPECT_LT(waited, kRead / 2) << "the region lock was held across the store-file reads";
   EXPECT_EQ(reopened.store_file_count(), 1u);
+}
+
+TEST(RegionReadPathTest, ColdReadsFetchOnlyThePrunedBlocks) {
+  // Eight store files with interleaved rows (row i lives in file i % 8)
+  // and 2 KB blocks: the files' key ranges all overlap, so only the bloom
+  // filter lets a point get skip the seven files that lack its row, and a
+  // limit-10 scan must stop decoding once it has its rows. Each op runs
+  // cold (cache cleared first), so its DFS block reads are the work it
+  // did; the counts are deterministic, and a read path that loses either
+  // pruning or the early stop reads more.
+  constexpr int kFiles = 8;
+  constexpr std::uint64_t kRows = 4224;
+  constexpr std::uint64_t kGets = 408;
+  constexpr std::uint64_t kScans = 64;
+  constexpr std::size_t kScanLimit = 10;
+  reset_global_counters();
+  Dfs dfs(DfsConfig{});
+  BlockCache cache(64ull << 20);
+  Region region(RegionDescriptor{"usertable", "", ""}, dfs, cache, /*store_block_bytes=*/2048);
+  ASSERT_TRUE(region.load_store_files().is_ok());
+  region.set_state(RegionState::kOnline);
+  auto row = [](std::uint64_t i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "user%08llu", static_cast<unsigned long long>(i));
+    return std::string(buf);
+  };
+  for (int f = 0; f < kFiles; ++f) {
+    std::vector<Cell> cells;
+    for (std::uint64_t i = f; i < kRows; i += kFiles) {
+      cells.push_back(Cell{row(i), "field0", std::string(100, 'v'), f + 1, false});
+    }
+    ASSERT_TRUE(region.apply(cells));
+    ASSERT_TRUE(region.flush_memstore().is_ok());
+  }
+
+  // Each pass returns the DFS block reads it made.
+  auto gets = [&](bool cold) {
+    const std::int64_t before = dfs.stats().block_reads;
+    for (std::uint64_t op = 0; op < kGets; ++op) {
+      if (cold) cache.clear();
+      auto r = region.get(row((op * 97) % kRows), "field0", kMaxTimestamp);
+      EXPECT_TRUE(r.is_ok() && r.value().has_value()) << op;
+    }
+    return dfs.stats().block_reads - before;
+  };
+  auto scans = [&](bool cold) {
+    const std::int64_t before = dfs.stats().block_reads;
+    for (std::uint64_t op = 0; op < kScans; ++op) {
+      if (cold) cache.clear();
+      auto r = region.scan(row((op * 131) % (kRows - 2 * kScanLimit)), "", kMaxTimestamp,
+                           kScanLimit);
+      EXPECT_TRUE(r.is_ok() && r.value().size() == kScanLimit) << op;
+    }
+    return dfs.stats().block_reads - before;
+  };
+
+  EXPECT_EQ(gets(/*cold=*/true), 437);
+  EXPECT_EQ(scans(/*cold=*/true), 599);
+  EXPECT_GT(global_counter("kv.sf_bloom_skips").get(), 0);
+  // Warm: once a pass has loaded its blocks, the same pass reads none.
+  cache.clear();
+  gets(/*cold=*/false);
+  EXPECT_EQ(gets(/*cold=*/false), 0);
+  scans(/*cold=*/false);
+  EXPECT_EQ(scans(/*cold=*/false), 0);
 }
 
 TEST_F(RegionTest, StateTransitions) {

@@ -4,9 +4,14 @@
 // cache that keeps up with all of it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/common/metrics.h"
+#include "src/common/random.h"
 #include "src/kv/cluster.h"
 #include "src/kv/kv_client.h"
 #include "src/kv/store_file.h"
@@ -274,6 +279,82 @@ TEST(TopologyClusterTest, BalancerMergesColdAdjacentPair) {
 
   EXPECT_EQ(cluster.master().table_regions("t").size(), 1u);
   EXPECT_GE(global_counter("master.region_merges").get(), 1);
+}
+
+TEST(TopologyClusterTest, BackgroundBalancerSpreadsOneHotRegionUnderWrites) {
+  // Zipfian hot-key writes from three clients land on a table that starts
+  // as one region on one of four servers. The background balancer alone
+  // must split the growing region and spread the daughters while the
+  // writers re-locate through the fenced transitions.
+  constexpr std::size_t kServers = 4;
+  constexpr std::uint64_t kRows = 512;
+  constexpr int kWriters = 3;
+  reset_global_counters();
+  ClusterConfig cfg = topo_cluster(kServers);
+  cfg.server.heartbeat_interval = millis(10);  // load reports ride heartbeats
+  cfg.server.session_ttl = seconds(3);
+  cfg.server.memstore_flush_bytes = 2048;  // flush often: splits need store files
+  cfg.server.compaction_file_threshold = 4;
+  cfg.balancer.interval = millis(5);
+  cfg.balancer.split_store_bytes = 6 * 1024;
+  cfg.balancer.move_load_ratio = 2.0;
+  cfg.balancer.move_min_ops = 16;
+  cfg.balancer.max_actions_per_tick = 2;  // merges stay off (thresholds 0)
+  Cluster cluster(cfg);
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
+  ASSERT_EQ(cluster.master().table_regions("t").size(), 1u);
+
+  // The writers run until the background loop has made one region per
+  // server, so its splits and moves land among the writes.
+  std::atomic<Timestamp> next_ts{1};
+  std::atomic<bool> spread{false};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(0x5eedULL + static_cast<std::uint64_t>(w));
+      ZipfianChooser keys(kRows);
+      KvClient client(cluster.master(), millis(1));
+      while (!spread.load()) {
+        WriteSet ws = rows_ws(next_ts.fetch_add(1), 0, 0);
+        char row[16];
+        std::snprintf(row, sizeof(row), "row%05llu",
+                      static_cast<unsigned long long>(keys.next(rng)));
+        ws.mutations.push_back(Mutation{row, "c", std::string(128, 'v'), false});
+        if (!client.flush_writesets({ws}).is_ok()) ++failed;
+      }
+    });
+  }
+  const Micros deadline = now_micros() + seconds(30);
+  while (cluster.master().table_regions("t").size() < kServers && now_micros() < deadline) {
+    sleep_micros(millis(1));
+  }
+  spread = true;
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+
+  // Drain the balancer's backlog on the same configuration: tick until a
+  // tick takes no action.
+  cluster.master().disable_balancer();
+  int ticks = 0;
+  while (cluster.master().balance_once() > 0 && ++ticks < 1000) {
+  }
+  ASSERT_LT(ticks, 1000) << "the balancer never settled";
+
+  EXPECT_GE(global_counter("master.region_splits").get(), 1);
+  std::map<std::string, int> per_server;
+  for (const auto& id : cluster.master().live_servers()) per_server[id] = 0;
+  for (const auto& loc : cluster.master().table_regions("t")) ++per_server[loc.server_id];
+  ASSERT_EQ(per_server.size(), kServers);
+  int lo = 1 << 30, hi = 0;
+  for (const auto& [id, n] : per_server) {
+    lo = std::min(lo, n);
+    hi = std::max(hi, n);
+  }
+  EXPECT_GE(lo, 1) << "a live server hosts no region";
+  EXPECT_LE(hi, 2 * lo) << "unbalanced layout";
+  EXPECT_EQ(global_counter("master.wal_split_failures").get(), 0);
 }
 
 // --- client routing cache ------------------------------------------------------
