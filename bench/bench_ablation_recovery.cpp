@@ -27,15 +27,15 @@ namespace {
 
 struct Outcome {
   std::int64_t replayed = 0;
-  double recovery_seconds = 0;
+  double recovery_ms = 0;
   std::int64_t log_records = 0;       // replayable (above the checkpoint)
   std::int64_t retained_records = 0;  // still held in segments
 };
 
 Outcome run_once(bool ignore_thresholds, int txns) {
   TestbedConfig cfg = paper_config(2, false);
-  // Moderate latencies and quick detection: we measure replay work, not the
-  // heartbeat-expiry wait.
+  // Moderate latencies; detection is on proof (the read after the crash),
+  // so we measure replay work, not the heartbeat-expiry wait.
   cfg.cluster.dfs.sync_latency = 500;
   cfg.cluster.dfs.read_latency = 300;
   cfg.cluster.server.rpc_latency = 100;
@@ -73,11 +73,26 @@ Outcome run_once(bool ignore_thresholds, int txns) {
   out.log_records = log.live_records;
   out.retained_records = log.retained_records;
 
+  // A row server 0 hosts. One read of it right after the crash bounces off
+  // with ServerDown, so the master takes the server over on proof instead
+  // of waiting out the session TTL: the time below is recovery work.
+  std::string probe_row;
+  for (const auto& loc : bed.master().table_regions("usertable")) {
+    if (loc.server_id != bed.cluster().server(0).id()) continue;
+    probe_row = loc.descriptor.start_key.empty() ? Testbed::row_key(0) : loc.descriptor.start_key;
+    break;
+  }
+
   const Micros t0 = now_micros();
   bed.crash_server(0);
+  if (!probe_row.empty()) {
+    Transaction probe = bed.client().begin("usertable");
+    (void)probe.get(probe_row, "field0");
+    probe.abort();
+  }
   (void)bed.wait_server_recoveries(1, seconds(120));
   bed.wait_for_recovery();
-  out.recovery_seconds = static_cast<double>(now_micros() - t0) / 1e6;
+  out.recovery_ms = static_cast<double>(now_micros() - t0) / 1e3;
   out.replayed = bed.rm().stats().writesets_replayed_server;
   return out;
 }
@@ -92,23 +107,23 @@ int main() {
   const int multipliers[] = {1, 3, 10};
 
   std::printf("%-12s %-14s %-22s %-18s %-20s %-14s\n", "run_txns", "mode",
-              "log_records_at_crash", "retained_records", "writesets_replayed", "recovery_s");
+              "log_records_at_crash", "retained_records", "writesets_replayed", "recovery_ms");
   double tracked_worst = 0, replay_all_worst = 0;
   std::int64_t tracked_replayed_max = 0, replay_all_replayed_max = 0;
   Outcome tracked_1x, tracked_10x, replay_all_10x;
   for (const int m : multipliers) {
     for (const bool ignore : {false, true}) {
       const Outcome o = run_once(ignore, base * m);
-      std::printf("%-12d %-14s %-22lld %-18lld %-20lld %-14.2f\n", base * m,
+      std::printf("%-12d %-14s %-22lld %-18lld %-20lld %-14.1f\n", base * m,
                   ignore ? "replay-all" : "thresholds", static_cast<long long>(o.log_records),
                   static_cast<long long>(o.retained_records), static_cast<long long>(o.replayed),
-                  o.recovery_seconds);
+                  o.recovery_ms);
       if (ignore) {
-        replay_all_worst = std::max(replay_all_worst, o.recovery_seconds);
+        replay_all_worst = std::max(replay_all_worst, o.recovery_ms);
         replay_all_replayed_max = std::max(replay_all_replayed_max, o.replayed);
         if (m == 10) replay_all_10x = o;
       } else {
-        tracked_worst = std::max(tracked_worst, o.recovery_seconds);
+        tracked_worst = std::max(tracked_worst, o.recovery_ms);
         tracked_replayed_max = std::max(tracked_replayed_max, o.replayed);
         if (m == 1) tracked_1x = o;
         if (m == 10) tracked_10x = o;
@@ -122,7 +137,7 @@ int main() {
               static_cast<long long>(replay_all_replayed_max),
               tracked_replayed_max < replay_all_replayed_max / 2 ? "[OK: bounded by tracking]"
                                                                   : "[UNEXPECTED]");
-  std::printf("worst recovery time: thresholds=%.2fs, replay-all=%.2fs %s\n", tracked_worst,
+  std::printf("worst recovery time: thresholds=%.1f ms, replay-all=%.1f ms %s\n", tracked_worst,
               replay_all_worst,
               tracked_worst <= replay_all_worst ? "[OK]" : "[UNEXPECTED]");
   std::printf("retained log records at 10x: thresholds=%lld, replay-all=%lld %s\n",
@@ -131,7 +146,7 @@ int main() {
               tracked_10x.retained_records < replay_all_10x.retained_records / 2
                   ? "[OK: GC keeps it bounded]"
                   : "[UNEXPECTED]");
-  const double ratio = tracked_10x.recovery_seconds / tracked_1x.recovery_seconds;
+  const double ratio = tracked_10x.recovery_ms / tracked_1x.recovery_ms;
   std::printf("thresholds recovery time at 10x vs 1x: %.2fx %s\n", ratio,
               ratio <= 2.0 ? "[OK: recovery time plateaus]" : "[UNEXPECTED]");
   return 0;

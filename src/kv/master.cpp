@@ -89,7 +89,7 @@ void Master::report_server_down(const std::string& server_id, bool crashed) {
 
 void Master::set_hooks(MasterHooks* hooks) {
   MutexLock lock(mutex_);
-  // Quiesce: the recovery worker snapshots hooks_ before calling into it, so
+  // Quiesce: every HookCall snapshots hooks_ before calling into it, so
   // wait out any in-flight invocation before letting the caller retire the
   // old hooks object.
   while (hook_calls_in_flight_ != 0) idle_cv_.wait(lock);
@@ -184,22 +184,26 @@ std::vector<std::string> Master::live_servers() const {
   return out;
 }
 
-namespace {
-
-/// Best-effort removal of a never-registered daughter/merged dir's marker
-/// files after an abandoned transition (tiny ref markers only — the dir
-/// never held data).
-void remove_stray_markers(Dfs& dfs, const std::vector<std::string>& region_names) {
-  for (const auto& name : region_names) {
-    for (const auto& path : dfs.list(region_data_dir(name))) {
-      TFR_IGNORE_STATUS(dfs.remove(path),
-                        "abandoned topology transition; markers in a never-registered "
-                        "dir are dead weight, not state — the region was never routed to");
-    }
+Master::HookCall Master::pin_hooks_locked() {
+  HookCall call;
+  if (hooks_ != nullptr) {
+    call.master_ = this;
+    call.hooks_ = hooks_;
+    ++hook_calls_in_flight_;
   }
+  return call;
 }
 
-}  // namespace
+void Master::HookCall::release() {
+  if (master_ == nullptr) return;
+  {
+    MutexLock lock(master_->mutex_);
+    --master_->hook_calls_in_flight_;
+  }
+  master_->idle_cv_.notify_all();
+  master_ = nullptr;
+  hooks_ = nullptr;
+}
 
 Status Master::split_region(const std::string& region_name) {
   RegionLocation loc;
@@ -216,73 +220,13 @@ Status Master::split_region(const std::string& region_name) {
     }
     stub = sit->second;
   }
-  // Server-side half: fence + flush the parent, choose the key, write the
-  // daughters' store-file reference markers. The parent's dir is never
-  // modified, so every abort path below leaves it reopenable as-is.
-  auto children = stub->split_region(region_name);
-  if (!children.is_ok()) return children.status();
-  const auto& [left, right] = children.value();
-
-  MasterHooks* hooks = nullptr;
-  std::uint64_t new_epoch = 0;
-  {
-    MutexLock lock(mutex_);
-    auto it = assignment_.find(region_name);
-    if (it == assignment_.end() || it->second.epoch != loc.epoch) {
-      // A failure recovery re-fenced the parent while the server-side half
-      // ran (the host was declared dead — it may be a zombie behind a
-      // partition). That recovery owns the parent now and will reopen it
-      // under its higher epoch; abandon the transition.
-      lock.unlock();
-      remove_stray_markers(*dfs_, {left.name(), right.name()});
-      return Status::unavailable("split of " + region_name + " superseded by failure recovery");
-    }
-    // Commit: one epoch for the whole transition. The daughters are fenced
-    // forward, and the RETIRED parent name is bumped too so any straggling
-    // store-file finalize from a resumed parent compaction is rejected.
-    new_epoch = loc.epoch + 1;
-    assignment_.erase(region_name);
-    assignment_[left.name()] = RegionLocation{left.name(), left, loc.server_id, new_epoch};
-    assignment_[right.name()] = RegionLocation{right.name(), right, loc.server_id, new_epoch};
-    for (const std::string& r : {left.name(), right.name(), region_name}) {
-      if (epochs_ != nullptr) epochs_->advance_to(r, new_epoch);
-      coord_->put(kEpochPrefix + r, static_cast<std::int64_t>(new_epoch));
-    }
-    coord_->put(kSplitRecordPrefix + region_name + "|" + left.name() + "|" + right.name(),
-                static_cast<std::int64_t>(new_epoch));
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
-  }
-  global_counter("master.region_splits").add();
-  if (hooks != nullptr) {
-    // Floors before gates: the recovery middleware migrates any pending
-    // replay floor from the parent to the daughters before either daughter
-    // can run its gate.
-    hooks->on_region_split(region_name, {left.name(), right.name()}, new_epoch);
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
-  }
-  for (const RegionDescriptor& child : {left, right}) {
-    Status opened = stub->open_region(child, {}, new_epoch);
-    if (!opened.is_ok()) {
-      // The daughters stay assigned (epochs and floors intact); if the host
-      // is dying, its failure recovery re-homes them like any other region.
-      TFR_LOG(WARN, "master") << "daughter " << child.name() << " failed to open on "
-                              << loc.server_id << ": " << opened
-                              << "; failure recovery will re-home it";
-      return opened;
-    }
-  }
-  TFR_LOG(INFO, "master") << region_name << " split into " << left.name() << " and "
-                          << right.name() << " (epoch " << new_epoch << ")";
-  return Status::ok();
+  return replace_regions({loc}, stub);
 }
 
 Status Master::merge_regions(const std::string& left_region, const std::string& right_region) {
   RegionLocation lloc;
   RegionLocation rloc;
-  MasterHooks* hooks = nullptr;
+  HookCall hooks;
   {
     MutexLock lock(mutex_);
     auto lit = assignment_.find(left_region);
@@ -299,27 +243,19 @@ Status Master::merge_regions(const std::string& left_region, const std::string& 
       return Status::invalid_argument("regions not adjacent: " + left_region + " + " +
                                       right_region);
     }
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
+    hooks = pin_hooks_locked();
   }
-  if (hooks != nullptr) {
-    // A recovering region's pending replay floor pins the TM-log GC until
-    // its gate runs; merging it away would hand that obligation to a region
-    // whose own gate may already have passed. Refuse — the merge can retry
-    // once recovery drains. (A failure can still land between this check
-    // and the commit; on_regions_merged min-inherits floors defensively.)
-    const bool recovering =
-        hooks->is_region_recovering(left_region) || hooks->is_region_recovering(right_region);
-    {
-      MutexLock lock(mutex_);
-      --hook_calls_in_flight_;
-    }
-    idle_cv_.notify_all();
-    if (recovering) {
-      return Status::unavailable("refusing to merge while a region is recovering: " +
-                                 left_region + " + " + right_region);
-    }
+  // A recovering region's pending replay floor pins the TM-log GC until its
+  // gate runs; merging it away would hand that obligation to a region whose
+  // own gate may already have passed. Refuse — the merge can retry once
+  // recovery drains. (A failure can still land between this check and the
+  // commit; on_regions_replaced min-inherits floors regardless.)
+  if (hooks &&
+      (hooks->is_region_recovering(left_region) || hooks->is_region_recovering(right_region))) {
+    return Status::unavailable("refusing to merge while a region is recovering: " +
+                               left_region + " + " + right_region);
   }
+  hooks.release();
   // Co-locate both parents on the left region's host.
   if (rloc.server_id != lloc.server_id) {
     TFR_RETURN_IF_ERROR(move_region(right_region, lloc.server_id));
@@ -344,55 +280,82 @@ Status Master::merge_regions(const std::string& left_region, const std::string& 
     }
     stub = sit->second;
   }
-  // Server-side half (fence + flush both parents, write the merged dir's
-  // reference markers); neither parent dir is modified.
-  auto merged = stub->merge_regions(left_region, right_region);
-  if (!merged.is_ok()) return merged.status();
-  const RegionDescriptor& md = merged.value();
+  return replace_regions({lloc, rloc}, stub);
+}
+
+Status Master::replace_regions(const std::vector<RegionLocation>& parents, RegionServer* host) {
+  std::vector<std::string> parent_names;
+  for (const auto& p : parents) parent_names.push_back(p.region_name);
+  // Server-side half: fence + flush the parents, derive the children, write
+  // their store-file reference markers. No parent dir is ever modified, so
+  // every abort path below leaves the parents reopenable as-is.
+  auto made = host->replace_regions(parent_names);
+  if (!made.is_ok()) return made.status();
+  const std::vector<RegionDescriptor>& children = made.value();
+  std::vector<std::string> child_names;
+  for (const auto& c : children) child_names.push_back(c.name());
+  const std::string& server_id = parents.front().server_id;
 
   std::uint64_t new_epoch = 0;
+  HookCall hooks;
   {
     MutexLock lock(mutex_);
-    auto lit = assignment_.find(left_region);
-    auto rit = assignment_.find(right_region);
-    if (lit == assignment_.end() || rit == assignment_.end() ||
-        lit->second.epoch != lloc.epoch || rit->second.epoch != rloc.epoch) {
-      // Re-fenced mid-merge by a failure recovery; it reopens the parents
-      // from their untouched dirs. Abandon the merged dir's markers.
-      lock.unlock();
-      remove_stray_markers(*dfs_, {md.name()});
-      return Status::unavailable("merge of " + left_region + " + " + right_region +
-                                 " superseded by failure recovery");
+    for (const auto& p : parents) {
+      auto it = assignment_.find(p.region_name);
+      if (it == assignment_.end() || it->second.epoch != p.epoch) {
+        // A failure recovery re-fenced a parent while the server-side half
+        // ran (the host was declared dead — it may be a zombie behind a
+        // partition). That recovery owns the parents now and reopens them
+        // from their untouched dirs under its higher epoch; abandon the
+        // transition.
+        lock.unlock();
+        remove_stray_markers(*dfs_, children);
+        return Status::unavailable("transition of " + parent_names.front() +
+                                   " superseded by failure recovery");
+      }
+      new_epoch = std::max(new_epoch, p.epoch + 1);
     }
-    new_epoch = std::max(lloc.epoch, rloc.epoch) + 1;
-    assignment_.erase(left_region);
-    assignment_.erase(right_region);
-    assignment_[md.name()] = RegionLocation{md.name(), md, lloc.server_id, new_epoch};
-    for (const std::string& r : {md.name(), left_region, right_region}) {
-      if (epochs_ != nullptr) epochs_->advance_to(r, new_epoch);
-      coord_->put(kEpochPrefix + r, static_cast<std::int64_t>(new_epoch));
+    // Commit: one epoch for the whole transition. The children are fenced
+    // forward, and each RETIRED parent name is bumped too so any straggling
+    // store-file finalize from a resumed parent compaction is rejected. The
+    // children's markers are already written, so the janitor never sees a
+    // retired record whose markers are missing.
+    for (const auto& name : parent_names) assignment_.erase(name);
+    for (const auto& child : children) {
+      assignment_[child.name()] = RegionLocation{child.name(), child, server_id, new_epoch};
     }
-    coord_->put(kMergeRecordPrefix + md.name() + "|" + left_region + "|" + right_region,
-                static_cast<std::int64_t>(new_epoch));
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
+    for (const auto* names : {&child_names, &parent_names}) {
+      for (const std::string& r : *names) {
+        if (epochs_ != nullptr) epochs_->advance_to(r, new_epoch);
+        coord_->put(kEpochPrefix + r, static_cast<std::int64_t>(new_epoch));
+      }
+    }
+    for (const auto& name : parent_names) {
+      coord_->put(kRetiredRegionPrefix + name, static_cast<std::int64_t>(new_epoch));
+    }
+    hooks = pin_hooks_locked();
   }
-  global_counter("master.region_merges").add();
-  if (hooks != nullptr) {
-    hooks->on_regions_merged(md.name(), {left_region, right_region}, new_epoch);
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
+  global_counter(parents.size() == 1 ? "master.region_splits" : "master.region_merges").add();
+  // Floors before gates: the recovery middleware migrates any pending
+  // replay floor from the parents to the children before any child can run
+  // its gate.
+  if (hooks) hooks->on_regions_replaced(parent_names, child_names, new_epoch);
+  hooks.release();
+  for (const RegionDescriptor& child : children) {
+    Status opened = host->open_region(child, {}, new_epoch);
+    if (!opened.is_ok()) {
+      // The children stay assigned (epochs and floors intact); if the host
+      // is dying, its failure recovery re-homes them like any other region.
+      TFR_LOG(WARN, "master") << child.name() << " failed to open on " << server_id << ": "
+                              << opened << "; failure recovery will re-home it";
+      return opened;
+    }
   }
-  Status opened = stub->open_region(md, {}, new_epoch);
-  if (!opened.is_ok()) {
-    TFR_LOG(WARN, "master") << "merged region " << md.name() << " failed to open on "
-                            << lloc.server_id << ": " << opened
-                            << "; failure recovery will re-home it";
-    return opened;
-  }
-  TFR_LOG(INFO, "master") << left_region << " + " << right_region << " merged into "
-                          << md.name() << " (epoch " << new_epoch << ")";
+  TFR_LOG(INFO, "master") << parent_names.front()
+                          << (parents.size() == 2 ? " + " + parent_names.back() : "")
+                          << " replaced by " << child_names.front()
+                          << (children.size() == 2 ? " + " + child_names.back() : "")
+                          << " (epoch " << new_epoch << ")";
   return Status::ok();
 }
 
@@ -610,61 +573,38 @@ int Master::balance_once() {
 
 void Master::janitor_sweep() {
   // Reclaim retired parent dirs. Records are listed BEFORE markers: a
-  // split/merge writes its daughters' markers before its durable record, so
-  // any record visible here already has its markers visible — or they were
-  // consumed by daughter compactions, at which point the parent's files are
-  // genuinely dead.
-  struct Record {
-    std::string key;
-    std::vector<std::string> retired;
-  };
-  std::vector<Record> records;
-  for (const auto& [key, value] : coord_->list(kSplitRecordPrefix)) {
-    const std::string body = key.substr(std::string(kSplitRecordPrefix).size());
-    const auto bar = body.find('|');
-    if (bar == std::string::npos) continue;
-    records.push_back({key, {body.substr(0, bar)}});  // the parent is retired
+  // transition writes its children's markers before its records, so any
+  // record visible here already has its markers visible — or they were
+  // consumed by child compactions, at which point the parent's files are
+  // genuinely dead. A marker inside a retired region's own dir is not live:
+  // that region never opens again, so it cannot pin what it points into.
+  std::map<std::string, std::string> retired;  // data dir -> record key
+  for (const auto& [key, value] : coord_->list(kRetiredRegionPrefix)) {
+    retired[region_data_dir(key.substr(std::string(kRetiredRegionPrefix).size()))] = key;
   }
-  for (const auto& [key, value] : coord_->list(kMergeRecordPrefix)) {
-    const std::string body = key.substr(std::string(kMergeRecordPrefix).size());
-    const auto bar1 = body.find('|');
-    if (bar1 == std::string::npos) continue;
-    const auto bar2 = body.find('|', bar1 + 1);
-    if (bar2 == std::string::npos) continue;
-    records.push_back({key, {body.substr(bar1 + 1, bar2 - bar1 - 1), body.substr(bar2 + 1)}});
-  }
-  if (records.empty()) return;
+  if (retired.empty()) return;
 
   std::set<std::string> referenced;  // data dirs some live marker points into
   for (const auto& path : dfs_->list("/data/")) {
     const auto slash = path.rfind('/');
     if (slash == std::string::npos || path.compare(slash + 1, 4, "ref-") != 0) continue;
+    if (retired.count(path.substr(0, slash + 1)) != 0) continue;
     auto target = dfs_->read_all(path);
     if (!target.is_ok()) return;  // flaky DFS: stay conservative, retry next tick
     const auto rslash = target.value().rfind('/');
     if (rslash != std::string::npos) referenced.insert(target.value().substr(0, rslash + 1));
   }
-  std::set<std::string> assigned;
   {
     MutexLock lock(mutex_);
-    for (const auto& [name, loc] : assignment_) assigned.insert(name);
+    for (const auto& [name, loc] : assignment_) referenced.insert(region_data_dir(name));
   }
-  for (const auto& rec : records) {
-    bool reclaimable = true;
-    for (const auto& r : rec.retired) {
-      if (assigned.count(r) != 0 || referenced.count(region_data_dir(r)) != 0) {
-        reclaimable = false;
-        break;
-      }
-    }
-    if (!reclaimable) continue;
-    std::size_t purged = 0;
-    for (const auto& r : rec.retired) purged += dfs_->purge_prefix(region_data_dir(r));
-    coord_->erase(rec.key);
+  for (const auto& [dir, key] : retired) {
+    if (referenced.count(dir) != 0) continue;  // assigned, or a live marker points in
+    const std::size_t purged = dfs_->purge_prefix(dir);
+    coord_->erase(key);
     if (purged > 0) {
       global_counter("master.janitor_purged_files").add(static_cast<std::int64_t>(purged));
-      TFR_LOG(INFO, "master") << "janitor reclaimed " << purged
-                              << " files of retired region(s) behind " << rec.key;
+      TFR_LOG(INFO, "master") << "janitor reclaimed " << purged << " files behind " << key;
     }
   }
 }
@@ -741,7 +681,7 @@ void Master::wait_for_idle() const {
 void Master::handle_server_down(const std::string& server_id, bool crashed) {
   // Snapshot the affected regions and the hook.
   std::vector<RegionLocation> affected;
-  MasterHooks* hooks = nullptr;
+  HookCall hooks;
   std::string wal_path;
   {
     MutexLock lock(mutex_);
@@ -773,8 +713,7 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
         affected.push_back(loc);
       }
     }
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
+    hooks = pin_hooks_locked();
     wal_path = server_wal_paths_[server_id];
   }
 
@@ -789,11 +728,7 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
   // Notify the recovery middleware *before* regions start coming back
   // (it snapshots TP(s) for the replay bound).
   if (hooks && crashed) hooks->on_server_failure(server_id, region_names);
-  if (hooks != nullptr) {
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
-  }
+  hooks.release();
 
   // From here recovery is a pipeline (DESIGN §8.4). This thread runs the
   // HBase log split — it groups the failed server's durable WAL records by

@@ -31,6 +31,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/epoch.h"
@@ -53,30 +54,18 @@ class MasterHooks {
   virtual void on_server_failure(const std::string& server_id,
                                  const std::vector<std::string>& regions) = 0;
 
-  /// `parent` was split into `daughters` under `new_epoch`. Called after
-  /// the transition is committed (assignment + durable split record) but
-  /// BEFORE the daughters are opened, so pending transactional-recovery
-  /// state can migrate to the daughters first — floors before gates: each
-  /// daughter must inherit the parent's replay floor (TP-inheritance, §3.2
-  /// extended to splits) before its replay gate can possibly fire.
-  virtual void on_region_split(const std::string& parent,
-                               const std::vector<std::string>& daughters,
-                               std::uint64_t new_epoch) {
-    (void)parent;
-    (void)daughters;
-    (void)new_epoch;
-  }
-
-  /// `parents` were merged into `merged` under `new_epoch`; same timing
-  /// contract as on_region_split (before the merged region opens). Purely
-  /// defensive — the master refuses to merge a recovering region — but a
-  /// failure can land between that check and the commit, so the middleware
-  /// still min-inherits any pending floor here.
-  virtual void on_regions_merged(const std::string& merged,
-                                 const std::vector<std::string>& parents,
-                                 std::uint64_t new_epoch) {
-    (void)merged;
+  /// A topology transition replaced `parents` by `children` under
+  /// `new_epoch`: one parent split into two, or two adjacent parents merged
+  /// into one. Called after the transition is committed (assignment swap +
+  /// durable retired-region records) but BEFORE any child opens, so pending
+  /// transactional-recovery state can migrate first — floors before gates:
+  /// every child must inherit its parents' replay floor (TP-inheritance,
+  /// §3.2 extended to topology changes) before its replay gate can fire.
+  virtual void on_regions_replaced(const std::vector<std::string>& parents,
+                                   const std::vector<std::string>& children,
+                                   std::uint64_t new_epoch) {
     (void)parents;
+    (void)children;
     (void)new_epoch;
   }
 
@@ -106,14 +95,13 @@ inline constexpr const char* kMasterNodeId = "master";
 /// Coord-KV prefix under which the master durably records region epochs.
 inline constexpr const char* kEpochPrefix = "/tfr/epoch/";
 
-/// Durable topology-transition records (value = the transition's new epoch).
-/// Region names never contain '|', so it separates the participants:
-///   split: /tfr/topology/split/<parent>|<left>|<right>   (parent retired)
-///   merge: /tfr/topology/merge/<merged>|<left>|<right>   (both parents retired)
-/// A record lives until the janitor has reclaimed every retired parent dir
-/// (i.e. no daughter store-file reference marker points into it any more).
-inline constexpr const char* kSplitRecordPrefix = "/tfr/topology/split/";
-inline constexpr const char* kMergeRecordPrefix = "/tfr/topology/merge/";
+/// Durable topology-transition records, one per retired parent region:
+///   /tfr/topology/retired/<parent> = the transition's new epoch
+/// A split retires one parent, a merge two. The children's reference
+/// markers are written before the records, and a record lives until the
+/// janitor has reclaimed its parent's dir: the parent is not assigned, and
+/// no live marker (one outside every retired region's dir) points into it.
+inline constexpr const char* kRetiredRegionPrefix = "/tfr/topology/retired/";
 
 /// Tuning for the master's balancer loop (§9). All triggers are opt-in:
 /// a zero threshold disables that trigger, interval == 0 disables the loop.
@@ -172,20 +160,17 @@ class Master {
   /// The stub for a server id; nullptr when unknown.
   RegionServer* server_stub(const std::string& server_id) const;
 
-  /// Split a region in place: server-side half (fence, flush, choose key,
-  /// write the daughters' store-file reference markers), then the committed
-  /// transition — epoch bump, assignment swap, durable split record,
-  /// floor-inheritance hook — and finally the daughter opens (each runs the
-  /// region gate under the new epoch). If a failure recovery re-fences the
-  /// parent while the server-side half runs, the transition aborts and that
-  /// recovery keeps ownership (it reopens the parent from its untouched
-  /// dir).
+  /// Split a region in place: one topology transition from the parent to
+  /// two daughters (see replace_regions). If a failure recovery re-fences
+  /// the parent while the server-side half runs, the transition aborts and
+  /// that recovery keeps ownership (it reopens the parent from its
+  /// untouched dir).
   Status split_region(const std::string& region_name);
 
   /// Merge two adjacent regions of a table (left.end_key == right.start_key)
   /// into one. Refused while either region has transactional recovery
   /// pending (the hook's is_region_recovering). Co-locates `right` onto
-  /// `left`'s host first, then runs the same fenced transition as a split.
+  /// `left`'s host first, then runs the same transition as a split.
   Status merge_regions(const std::string& left_region, const std::string& right_region);
 
   /// Start/stop the balancer loop (§9). enable replaces any previous
@@ -248,7 +233,42 @@ class Master {
   void on_session_event(const SessionInfo& info, bool expired);
   void recovery_worker();
   void handle_server_down(const std::string& server_id, bool crashed);
+  /// The one topology transition (§9): the server-side half on `host`
+  /// (fence + flush the parents, write the children's reference markers),
+  /// then the commit — re-check each parent's epoch snapshot, one epoch
+  /// above them all on the children and the retired parents, assignment
+  /// swap, retired-region records, floor-inheritance hook — and finally the
+  /// child opens (each runs the region gate under the new epoch).
+  Status replace_regions(const std::vector<RegionLocation>& parents, RegionServer* host);
   void janitor_sweep() TFR_REQUIRES(balancer_mutex_);
+
+  /// One hook invocation in flight. pin_hooks_locked() snapshots hooks_ and
+  /// counts the call under mutex_; release() (or destruction) drops the
+  /// count under mutex_ and then wakes set_hooks, which waits for the count
+  /// to reach 0 before it lets the caller retire the hooks object.
+  class HookCall {
+   public:
+    HookCall() = default;
+    HookCall(HookCall&& other) noexcept
+        : master_(std::exchange(other.master_, nullptr)),
+          hooks_(std::exchange(other.hooks_, nullptr)) {}
+    HookCall& operator=(HookCall&& other) noexcept {
+      release();
+      std::swap(master_, other.master_);
+      std::swap(hooks_, other.hooks_);
+      return *this;
+    }
+    ~HookCall() { release(); }
+    void release();
+    MasterHooks* operator->() const { return hooks_; }
+    explicit operator bool() const { return hooks_ != nullptr; }
+
+   private:
+    friend class Master;
+    Master* master_ = nullptr;
+    MasterHooks* hooks_ = nullptr;
+  };
+  HookCall pin_hooks_locked() TFR_REQUIRES(mutex_);
   std::string pick_live_server_locked(std::size_t salt) const TFR_REQUIRES(mutex_);
   /// Advance a region's epoch by one: assignment map + registry + durable
   /// coord-KV record. Returns the new epoch.

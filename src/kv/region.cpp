@@ -44,6 +44,16 @@ std::string region_data_dir(const std::string& region_name) {
   return "/data/" + sanitize(region_name) + "/";
 }
 
+void remove_stray_markers(Dfs& dfs, const std::vector<RegionDescriptor>& children) {
+  for (const auto& child : children) {
+    for (const auto& path : dfs.list(region_data_dir(child.name()))) {
+      TFR_IGNORE_STATUS(dfs.remove(path),
+                        "abandoned topology transition; markers in a never-registered "
+                        "dir are dead weight, not state — the region was never routed to");
+    }
+  }
+}
+
 Region::Region(RegionDescriptor desc, Dfs& dfs, BlockCache& cache,
                std::size_t store_block_bytes)
     : desc_(std::move(desc)), dfs_(&dfs), cache_(&cache),

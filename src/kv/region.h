@@ -41,6 +41,11 @@ std::string_view region_state_name(RegionState s);
 /// object for it exists.
 std::string region_data_dir(const std::string& region_name);
 
+/// Best-effort removal of every file in `children`'s dirs: the reference
+/// markers of a topology transition that aborted or was abandoned before
+/// any of its children was routed to.
+void remove_stray_markers(Dfs& dfs, const std::vector<RegionDescriptor>& children);
+
 class Region {
  public:
   /// `store_block_bytes`: target block size for store files written by

@@ -595,115 +595,76 @@ std::string ref_marker_name(std::size_t index) {
 
 }  // namespace
 
-Result<std::pair<RegionDescriptor, RegionDescriptor>> RegionServer::split_region(
-    const std::string& region_name) {
+Result<std::vector<RegionDescriptor>> RegionServer::replace_regions(
+    const std::vector<std::string>& parent_names) {
   if (!alive()) return down_status();
-  auto parent = region(region_name);
-  if (!parent) return Status::not_found("region not open: " + region_name);
-  if (parent->state() != RegionState::kOnline) {
-    return Status::unavailable("region not online: " + region_name);
+  if (parent_names.empty() || parent_names.size() > 2) {
+    return Status::invalid_argument("a transition replaces one or two regions");
   }
-
-  // A region still reading through split/merge reference markers localizes
-  // its data first (HBase refuses to split a region with references). The
+  std::vector<std::shared_ptr<Region>> parents;
+  for (const auto& name : parent_names) {
+    auto parent = region(name);
+    if (!parent) return Status::not_found("region not open: " + name);
+    if (parent->state() != RegionState::kOnline) {
+      return Status::unavailable("region not online: " + name);
+    }
+    parents.push_back(std::move(parent));
+  }
+  const RegionDescriptor& first = parents.front()->descriptor();
+  const RegionDescriptor& last = parents.back()->descriptor();
+  if (parents.size() == 2 &&
+      (first.table != last.table || first.end_key.empty() || first.end_key != last.start_key)) {
+    return Status::invalid_argument("regions not adjacent: " + first.name() + " + " +
+                                    last.name());
+  }
+  // A region still reading through reference markers localizes its data
+  // before it splits (HBase refuses to split a region with references). The
   // markers make its apparent store size the WHOLE referenced parent file,
   // so splitting again before localizing would cascade the size trigger
   // down to single-row daughters.
-  if (parent->has_references()) {
-    TFR_RETURN_IF_ERROR(parent->compact(kNoTimestamp));
+  if (parents.size() == 1 && parents.front()->has_references()) {
+    TFR_RETURN_IF_ERROR(parents.front()->compact(kNoTimestamp));
   }
 
-  // Fence the parent locally: from here Region::apply rejects (under the
-  // region mutex), so the flush below captures every acked write, and a
+  // Fence the parents locally: from here Region::apply rejects (under the
+  // region mutex), so the flushes below capture every acked write, and a
   // straggling compaction abandons its swap when it sees kOffline. Clients
-  // retry until the daughters come up. On any error the parent resumes
-  // serving untouched — its directory is never modified by a split.
-  parent->set_state(RegionState::kOffline);
+  // retry until the children come up. On any error the parents resume
+  // serving untouched — a transition never modifies a parent's directory.
+  for (const auto& parent : parents) parent->set_state(RegionState::kOffline);
   auto abort = [&](Status why) {
-    parent->set_state(RegionState::kOnline);
+    for (const auto& parent : parents) parent->set_state(RegionState::kOnline);
     return why;
   };
-  if (Status s = parent->flush_memstore(); !s.is_ok()) return abort(s);
-  auto split_key = parent->choose_split_key();
-  if (!split_key.is_ok()) return abort(split_key.status());
-
-  const RegionDescriptor& pd = parent->descriptor();
-  // Fresh region ids: the left daughter shares the parent's start key and
-  // must still be distinguishable from it (name, data dir, WAL grouping).
-  RegionDescriptor left{pd.table, pd.start_key, split_key.value(), next_region_id()};
-  RegionDescriptor right{pd.table, split_key.value(), pd.end_key, next_region_id()};
-
-  // The daughters inherit the parent's store files BY REFERENCE: one ref-N
-  // marker per parent file in each daughter's dir, holding the real path.
-  // No data is rewritten at split time — reads clip to the daughter's key
-  // range, daughter compactions localize the data later, and the master's
-  // janitor reclaims the parent dir once no marker anywhere points into it.
-  // Markers are numbered oldest-first so load_store_files reconstructs the
-  // parent's age order.
-  const std::vector<std::string> inherited = parent->store_file_paths();  // newest first
-  for (const RegionDescriptor& child : {left, right}) {
-    const std::string dir = region_data_dir(child.name());
-    for (std::size_t i = 0; i < inherited.size(); ++i) {
-      const std::string& real = inherited[inherited.size() - 1 - i];
-      if (Status s = dfs_->write_file(dir + ref_marker_name(i), real); !s.is_ok()) {
-        for (const RegionDescriptor& c : {left, right}) {
-          for (const auto& p : dfs_->list(region_data_dir(c.name()))) {
-            TFR_IGNORE_STATUS(dfs_->remove(p),
-                              "aborted split; markers in a never-registered daughter "
-                              "dir are dead weight, not state");
-          }
-        }
-        return abort(s);
-      }
-    }
-  }
-  {
-    WriterLock lock(regions_mutex_);
-    regions_.erase(region_name);
-  }
-  TFR_LOG(INFO, "rs") << id_ << " split " << region_name << " at '" << split_key.value()
-                      << "' -> " << left.name() << " + " << right.name() << " ("
-                      << inherited.size() << " store files inherited by reference)";
-  return std::make_pair(left, right);
-}
-
-Result<RegionDescriptor> RegionServer::merge_regions(const std::string& left_name,
-                                                     const std::string& right_name) {
-  if (!alive()) return down_status();
-  auto left = region(left_name);
-  auto right = region(right_name);
-  if (!left || !right) {
-    return Status::not_found("region not open: " + (left ? right_name : left_name));
-  }
-  const RegionDescriptor& ld = left->descriptor();
-  const RegionDescriptor& rd = right->descriptor();
-  if (ld.table != rd.table || ld.end_key.empty() || ld.end_key != rd.start_key) {
-    return Status::invalid_argument("regions not adjacent: " + left_name + " + " + right_name);
-  }
-  if (left->state() != RegionState::kOnline || right->state() != RegionState::kOnline) {
-    return Status::unavailable("regions not online: " + left_name + " + " + right_name);
+  for (const auto& parent : parents) {
+    if (Status s = parent->flush_memstore(); !s.is_ok()) return abort(s);
   }
 
-  // Same local fence as a split, applied to both parents.
-  left->set_state(RegionState::kOffline);
-  right->set_state(RegionState::kOffline);
-  auto abort = [&](Status why) {
-    left->set_state(RegionState::kOnline);
-    right->set_state(RegionState::kOnline);
-    return why;
-  };
-  if (Status s = left->flush_memstore(); !s.is_ok()) return abort(s);
-  if (Status s = right->flush_memstore(); !s.is_ok()) return abort(s);
+  // Fresh region ids: a child that shares a parent's start key must still
+  // be distinguishable from it (name, data dir, WAL grouping). A split cuts
+  // at a key chosen from store-file metadata; a merge spans both parents.
+  std::vector<RegionDescriptor> children;
+  if (parents.size() == 1) {
+    auto split_key = parents.front()->choose_split_key();
+    if (!split_key.is_ok()) return abort(split_key.status());
+    children.push_back({first.table, first.start_key, split_key.value(), next_region_id()});
+    children.push_back({first.table, split_key.value(), first.end_key, next_region_id()});
+  } else {
+    children.push_back({first.table, first.start_key, last.end_key, next_region_id()});
+  }
 
-  RegionDescriptor merged{ld.table, ld.start_key, rd.end_key, next_region_id()};
-  const std::string dir = region_data_dir(merged.name());
-  // One marker per parent store file, both parents, oldest-first per
-  // parent. De-duplicated: sibling daughters merging back together can
-  // both reference the same grandparent file, which must appear once.
-  // Cross-parent age order is irrelevant for correctness — the parents
-  // cover disjoint ranges and reads resolve versions by timestamp.
+  // The children inherit the parents' store files BY REFERENCE: one ref-N
+  // marker per file in each child's dir, holding the real path. No data is
+  // rewritten — reads clip to the child's key range, child compactions
+  // localize the data later, and the master's janitor reclaims a parent
+  // dir once no live marker points into it. Markers are numbered
+  // oldest-first per parent so load_store_files reconstructs the age
+  // order, and de-duplicated: sibling daughters merging back together both
+  // reference the same grandparent files. Cross-parent age order is
+  // irrelevant — the parents cover disjoint ranges and reads resolve
+  // versions by timestamp.
   std::vector<std::string> inherited;
-  for (const auto& parent : {left, right}) {
+  for (const auto& parent : parents) {
     auto paths = parent->store_file_paths();   // newest first
     std::reverse(paths.begin(), paths.end());  // oldest first
     for (auto& p : paths) {
@@ -712,25 +673,23 @@ Result<RegionDescriptor> RegionServer::merge_regions(const std::string& left_nam
       }
     }
   }
-  for (std::size_t i = 0; i < inherited.size(); ++i) {
-    if (Status s = dfs_->write_file(dir + ref_marker_name(i), inherited[i]); !s.is_ok()) {
-      for (const auto& p : dfs_->list(dir)) {
-        TFR_IGNORE_STATUS(dfs_->remove(p),
-                          "aborted merge; markers in a never-registered merged dir "
-                          "are dead weight, not state");
+  for (const RegionDescriptor& child : children) {
+    const std::string dir = region_data_dir(child.name());
+    for (std::size_t i = 0; i < inherited.size(); ++i) {
+      if (Status s = dfs_->write_file(dir + ref_marker_name(i), inherited[i]); !s.is_ok()) {
+        remove_stray_markers(*dfs_, children);
+        return abort(s);
       }
-      return abort(s);
     }
   }
   {
     WriterLock lock(regions_mutex_);
-    regions_.erase(left_name);
-    regions_.erase(right_name);
+    for (const auto& name : parent_names) regions_.erase(name);
   }
-  TFR_LOG(INFO, "rs") << id_ << " merged " << left_name << " + " << right_name << " -> "
-                      << merged.name() << " (" << inherited.size()
-                      << " store files inherited by reference)";
-  return merged;
+  TFR_LOG(INFO, "rs") << id_ << " replaced " << parents.size() << " region(s) starting at "
+                      << first.name() << " by " << children.size() << " ("
+                      << inherited.size() << " store files inherited by reference)";
+  return children;
 }
 
 Status RegionServer::offload_region(const std::string& region_name) {

@@ -197,26 +197,20 @@ class RegionServer {
   /// tests.
   void maybe_roll_wal();
 
-  /// The server-local half of a region split: fence the parent (applies
-  /// reject, the flush drains every acked write), choose the split key from
-  /// store-file metadata, write each daughter's `ref-N` store-file
-  /// reference markers (no data is rewritten), retire the parent object.
-  /// Returns the daughters' descriptors; the MASTER commits the transition
-  /// — epoch bump, assignment + durable split record, floor-inheritance
-  /// hook — and then opens the daughters (so the region gate runs under
-  /// the new epoch). On error the parent resumes serving untouched.
-  /// During the cutover the covered key range is Unavailable; clients
-  /// re-locate and retry.
-  Result<std::pair<RegionDescriptor, RegionDescriptor>> split_region(
-      const std::string& region_name);
-
-  /// The server-local half of merging two ADJACENT regions hosted here
-  /// (left.end_key == right.start_key): fence + flush both, write the
-  /// merged region's reference markers to both parents' store files,
-  /// retire both parent objects. Same contract as split_region: the master
-  /// commits and opens the merged region.
-  Result<RegionDescriptor> merge_regions(const std::string& left_name,
-                                         const std::string& right_name);
+  /// The server-local half of a topology transition (§9): one parent splits
+  /// at a key chosen from its store-file metadata, or two ADJACENT parents
+  /// hosted here (first.end_key == second.start_key) merge into their span.
+  /// Fences every parent (applies reject, the flushes drain every acked
+  /// write), writes each child's `ref-N` markers to the parents' store files
+  /// (no data is rewritten) and retires the parent objects. Returns the
+  /// children's descriptors; the MASTER commits the transition — epoch
+  /// bump, assignment swap, retired-region records, floor-inheritance hook
+  /// — and then opens the children (so the region gate runs under the new
+  /// epoch). On error every parent resumes serving untouched. During the
+  /// cutover the covered key range is Unavailable; clients re-locate and
+  /// retry.
+  Result<std::vector<RegionDescriptor>> replace_regions(
+      const std::vector<std::string>& parent_names);
 
   /// Flush a region's memstore and close it here so another server can open
   /// it from its store files (region move / load balancing).

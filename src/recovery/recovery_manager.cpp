@@ -358,74 +358,45 @@ void RecoveryManager::on_server_failure(const std::string& server_id,
                       << regions.size() << " regions to recover";
 }
 
-void RecoveryManager::on_region_split(const std::string& parent,
-                                      const std::vector<std::string>& daughters,
-                                      std::uint64_t new_epoch) {
+void RecoveryManager::on_regions_replaced(const std::vector<std::string>& parents,
+                                          const std::vector<std::string>& children,
+                                          std::uint64_t new_epoch) {
   MutexLock lock(mutex_);
-  auto pit = pending_regions_.find(parent);
-  if (pit == pending_regions_.end()) return;  // parent had nothing pending
-  const PendingRegion inherited = pit->second;
-  // TP-inheritance extended to splits: each daughter's replay bound is
-  // min-merged with the parent's TPr, under the transition's fenced epoch,
-  // and made durable FIRST — only then is the parent's entry (and marker)
-  // erased. An RM crash anywhere in between leaves a superset of the
-  // obligation, never a gap, and the TP floor never lifts (the daughters'
-  // min equals the parent's floor before the erase happens).
-  for (const auto& d : daughters) {
-    auto [it, inserted] = pending_regions_.try_emplace(
-        d, PendingRegion{inherited.failed_server, inherited.tpr, new_epoch});
-    if (!inserted) {
-      it->second.tpr = std::min(it->second.tpr, inherited.tpr);
-      it->second.fenced_epoch = std::max(it->second.fenced_epoch, new_epoch);
-    }
-    coord_->put(kRecoveringRegionPrefix + d, it->second.tpr);
-    coord_->put(kRecoveringEpochPrefix + d, static_cast<std::int64_t>(it->second.fenced_epoch));
-    ++stats_.split_floor_inheritances;
-  }
-  pending_regions_.erase(parent);
-  coord_->erase(kRecoveringRegionPrefix + parent);
-  coord_->erase(kRecoveringEpochPrefix + parent);
-  publish_locked();
-  TFR_LOG(INFO, "rm") << "split of recovering region " << parent << ": replay floor TPr="
-                      << inherited.tpr << " migrated to " << daughters.size()
-                      << " daughters (epoch " << new_epoch << ")";
-}
-
-void RecoveryManager::on_regions_merged(const std::string& merged,
-                                        const std::vector<std::string>& parents,
-                                        std::uint64_t new_epoch) {
-  MutexLock lock(mutex_);
-  Timestamp tpr = kMaxTimestamp;
-  std::string from;
+  std::optional<PendingRegion> inherited;  // the pending parent with the lowest TPr
   for (const auto& p : parents) {
     auto it = pending_regions_.find(p);
-    if (it != pending_regions_.end() && it->second.tpr < tpr) {
-      tpr = it->second.tpr;
-      from = it->second.failed_server;
+    if (it != pending_regions_.end() && (!inherited || it->second.tpr < inherited->tpr)) {
+      inherited = PendingRegion{it->second.failed_server, it->second.tpr, new_epoch};
     }
   }
-  if (tpr == kMaxTimestamp) return;  // no parent had anything pending
-  // Defensive: the master refuses to merge recovering regions, but a
-  // failure can land between its check and the commit. Same floors-first
-  // discipline as on_region_split.
-  auto [it, inserted] = pending_regions_.try_emplace(merged, PendingRegion{from, tpr, new_epoch});
-  if (!inserted) {
-    it->second.tpr = std::min(it->second.tpr, tpr);
-    it->second.fenced_epoch = std::max(it->second.fenced_epoch, new_epoch);
+  if (!inherited) return;  // no parent had anything pending
+  // TP-inheritance extended to topology changes: each child's replay bound
+  // is min-merged with the lowest pending parent TPr, under the
+  // transition's fenced epoch, and made durable FIRST — only then are the
+  // parents' entries (and markers) erased. An RM crash anywhere in between
+  // leaves a superset of the obligation, never a gap, and the TP floor
+  // never lifts (the children's min equals the parents' floor before the
+  // erase happens). A merge lands here only if a failure slipped between
+  // the master's is_region_recovering refusal and the commit.
+  for (const auto& c : children) {
+    auto [it, inserted] = pending_regions_.try_emplace(c, *inherited);
+    if (!inserted) {
+      it->second.tpr = std::min(it->second.tpr, inherited->tpr);
+      it->second.fenced_epoch = std::max(it->second.fenced_epoch, new_epoch);
+    }
+    coord_->put(kRecoveringRegionPrefix + c, it->second.tpr);
+    coord_->put(kRecoveringEpochPrefix + c, static_cast<std::int64_t>(it->second.fenced_epoch));
+    ++stats_.floor_inheritances;
   }
-  coord_->put(kRecoveringRegionPrefix + merged, it->second.tpr);
-  coord_->put(kRecoveringEpochPrefix + merged,
-              static_cast<std::int64_t>(it->second.fenced_epoch));
-  ++stats_.merge_floor_inheritances;
   for (const auto& p : parents) {
     pending_regions_.erase(p);
     coord_->erase(kRecoveringRegionPrefix + p);
     coord_->erase(kRecoveringEpochPrefix + p);
   }
   publish_locked();
-  TFR_LOG(WARN, "rm") << "merge folded pending replay floors of " << parents.size()
-                      << " parents into " << merged << " (TPr=" << tpr << ", epoch "
-                      << new_epoch << ")";
+  TFR_LOG(INFO, "rm") << "topology change of recovering region(s) from " << parents.front()
+                      << ": replay floor TPr=" << inherited->tpr << " migrated to "
+                      << children.size() << " children (epoch " << new_epoch << ")";
 }
 
 bool RecoveryManager::is_region_recovering(const std::string& region) {

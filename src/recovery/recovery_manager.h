@@ -71,10 +71,8 @@ struct RecoveryManagerStats {
   std::int64_t writesets_replayed_server = 0;
   std::int64_t threshold_refreshes = 0;
   /// Pending replay floors migrated across topology transitions: one count
-  /// per daughter that min-inherited a splitting parent's floor, resp. per
-  /// merged region that min-inherited its parents' floors.
-  std::int64_t split_floor_inheritances = 0;
-  std::int64_t merge_floor_inheritances = 0;
+  /// per child region that min-inherited a parent's floor.
+  std::int64_t floor_inheritances = 0;
 };
 
 /// Coordination-service paths where the global thresholds are published.
@@ -123,17 +121,16 @@ class RecoveryManager : public MasterHooks {
   void on_server_failure(const std::string& server_id,
                          const std::vector<std::string>& regions) override;
 
-  /// Topology transitions (§9). A splitting parent's pending replay floor
-  /// migrates to BOTH daughters (TP-inheritance extended to splits: each
-  /// daughter's TPr is min-merged with the parent's); only after the
-  /// daughters durably hold the floor is the parent's entry erased
-  /// (floors-before-erase). A merge min-inherits any parent's pending
-  /// floor into the merged region the same way — defensively, since the
-  /// master refuses merges of recovering regions via is_region_recovering.
-  void on_region_split(const std::string& parent, const std::vector<std::string>& daughters,
-                       std::uint64_t new_epoch) override;
-  void on_regions_merged(const std::string& merged, const std::vector<std::string>& parents,
-                         std::uint64_t new_epoch) override;
+  /// Topology transitions (§9). The lowest pending replay floor among the
+  /// parents migrates to every child (TP-inheritance extended to splits and
+  /// merges: each child's TPr is min-merged with it); only after the
+  /// children durably hold the floor are the parents' entries erased
+  /// (floors-before-erase). A merge normally has nothing to migrate — the
+  /// master refuses merges of recovering regions via is_region_recovering —
+  /// but a failure can land between that check and the commit.
+  void on_regions_replaced(const std::vector<std::string>& parents,
+                           const std::vector<std::string>& children,
+                           std::uint64_t new_epoch) override;
   bool is_region_recovering(const std::string& region) override;
 
   /// Region gate, called by a region server after internal recovery and

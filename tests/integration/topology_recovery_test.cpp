@@ -67,11 +67,11 @@ TEST_F(TopologyRecoveryTest, SplitHookMigratesFloorToBothDaughters) {
   const Timestamp floor = bed_.rm().min_recovery_floor();
   ASSERT_NE(floor, kMaxTimestamp);
 
-  bed_.rm().on_region_split("t,ghost-parent", {"t,ghost-l", "t,ghost-r"}, 7);
+  bed_.rm().on_regions_replaced({"t,ghost-parent"}, {"t,ghost-l", "t,ghost-r"}, 7);
   EXPECT_FALSE(bed_.rm().is_region_recovering("t,ghost-parent"));
   EXPECT_TRUE(bed_.rm().is_region_recovering("t,ghost-l"));
   EXPECT_TRUE(bed_.rm().is_region_recovering("t,ghost-r"));
-  EXPECT_EQ(bed_.rm().stats().split_floor_inheritances, 2);
+  EXPECT_EQ(bed_.rm().stats().floor_inheritances, 2);
   // The floor never lifted across the migration (min over daughters ==
   // parent's floor), and the daughters' markers are durable while the
   // parent's are gone — an RM restart resumes the daughters, not the ghost.
@@ -82,11 +82,11 @@ TEST_F(TopologyRecoveryTest, SplitHookMigratesFloorToBothDaughters) {
       bed_.coord().get(kRecoveringRegionPrefix + std::string("t,ghost-parent")).has_value());
 
   // Folding the daughters back together min-inherits into the merged name.
-  bed_.rm().on_regions_merged("t,ghost-m", {"t,ghost-l", "t,ghost-r"}, 9);
+  bed_.rm().on_regions_replaced({"t,ghost-l", "t,ghost-r"}, {"t,ghost-m"}, 9);
   EXPECT_FALSE(bed_.rm().is_region_recovering("t,ghost-l"));
   EXPECT_FALSE(bed_.rm().is_region_recovering("t,ghost-r"));
   EXPECT_TRUE(bed_.rm().is_region_recovering("t,ghost-m"));
-  EXPECT_EQ(bed_.rm().stats().merge_floor_inheritances, 1);
+  EXPECT_EQ(bed_.rm().stats().floor_inheritances, 3);
   EXPECT_EQ(bed_.rm().min_recovery_floor(), floor);
 }
 
@@ -108,7 +108,7 @@ TEST_F(TopologyRecoveryTest, MidRecoverySplitReplaysIntoDaughters) {
   ASSERT_TRUE(bed_.master().split_region(parent).is_ok());
 
   const auto stats = bed_.rm().stats();
-  EXPECT_EQ(stats.split_floor_inheritances, 2);
+  EXPECT_EQ(stats.floor_inheritances, 2);
   EXPECT_GE(stats.regions_recovered, 2);
   EXPECT_GT(stats.writesets_replayed_server, 0) << "daughter gates never replayed";
   // Both obligations drained: floors lifted, durable markers consumed.
@@ -139,9 +139,9 @@ TEST_F(TopologyRecoveryTest, MergeOfRecoveringRegionIsRefused) {
   install_pending_floor(left.region_name);
   auto refused = bed_.master().merge_regions(left.region_name, right.region_name);
   EXPECT_TRUE(refused.is_unavailable()) << refused;
-  // Refusal is not a transition: both regions keep serving, no merge record.
+  // Refusal is not a transition: both regions keep serving, no retired record.
   EXPECT_EQ(bed_.master().table_regions("t").size(), 2u);
-  EXPECT_TRUE(bed_.coord().list(kMergeRecordPrefix).empty());
+  EXPECT_TRUE(bed_.coord().list(kRetiredRegionPrefix).empty());
 
   // Drain the obligation through the gate path (as a real reassignment
   // would), then the same merge goes through.

@@ -156,8 +156,9 @@ TEST(TopologyClusterTest, SplitInheritsFilesByReference) {
     ASSERT_TRUE(v.is_ok());
     ASSERT_TRUE(v.value().has_value()) << row;
   }
-  // The transition left a durable split record for the janitor.
-  EXPECT_EQ(cluster.coord().list(kSplitRecordPrefix).size(), 1u);
+  // The transition left one durable retired record (the parent) for the
+  // janitor.
+  EXPECT_EQ(cluster.coord().list(kRetiredRegionPrefix).size(), 1u);
 }
 
 TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
@@ -173,7 +174,7 @@ TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
   // While refs are live the janitor must not touch the parent dir.
   cluster.master().balance_once();
   EXPECT_FALSE(cluster.dfs().list(region_data_dir(parent)).empty());
-  EXPECT_EQ(cluster.coord().list(kSplitRecordPrefix).size(), 1u);
+  EXPECT_EQ(cluster.coord().list(kRetiredRegionPrefix).size(), 1u);
 
   // Compacting each daughter rewrites its half locally and drops the marker.
   for (const auto& r : cluster.master().table_regions("t")) {
@@ -189,7 +190,7 @@ TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
   // Now the janitor reclaims the retired parent dir and the record.
   cluster.master().balance_once();
   EXPECT_TRUE(cluster.dfs().list(region_data_dir(parent)).empty());
-  EXPECT_TRUE(cluster.coord().list(kSplitRecordPrefix).empty());
+  EXPECT_TRUE(cluster.coord().list(kRetiredRegionPrefix).empty());
 
   for (int i = 0; i < 100; i += 11) {
     char row[16];
@@ -217,7 +218,8 @@ TEST(TopologyClusterTest, MergeAdjacentRegions) {
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_TRUE(regions[0].descriptor.start_key.empty());
   EXPECT_TRUE(regions[0].descriptor.end_key.empty());
-  EXPECT_EQ(cluster.coord().list(kMergeRecordPrefix).size(), 1u);
+  // One retired record per parent.
+  EXPECT_EQ(cluster.coord().list(kRetiredRegionPrefix).size(), 2u);
   for (int i = 0; i < 100; i += 7) {
     char row[16];
     std::snprintf(row, sizeof(row), "row%05d", i);
@@ -225,6 +227,69 @@ TEST(TopologyClusterTest, MergeAdjacentRegions) {
   }
   // Writes land in the merged region.
   ASSERT_TRUE(client.flush_writesets({rows_ws(2, 0, 10)}).is_ok());
+}
+
+TEST(TopologyClusterTest, MergeOfSplitDaughtersSharesGrandparentFiles) {
+  Cluster cluster(topo_cluster(2));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  const RegionLocation grandparent = cluster.master().table_regions("t").front();
+  RegionServer* host = cluster.master().server_stub(grandparent.server_id);
+  ASSERT_NE(host, nullptr);
+  // Two flushes: the grandparent owns two store files.
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 50)}).is_ok());
+  ASSERT_TRUE(host->region(grandparent.region_name)->flush_memstore().is_ok());
+  ASSERT_TRUE(client.flush_writesets({rows_ws(2, 50, 100)}).is_ok());
+  ASSERT_TRUE(host->region(grandparent.region_name)->flush_memstore().is_ok());
+  const std::size_t grandparent_files =
+      host->region(grandparent.region_name)->store_file_paths().size();
+  ASSERT_EQ(grandparent_files, 2u);
+
+  ASSERT_TRUE(cluster.master().split_region(grandparent.region_name).is_ok());
+  auto daughters = cluster.master().table_regions("t");
+  ASSERT_EQ(daughters.size(), 2u);
+  if (!daughters[0].descriptor.start_key.empty()) std::swap(daughters[0], daughters[1]);
+  for (const auto& d : daughters) {
+    EXPECT_EQ(count_ref_markers(cluster.dfs(), d.region_name), grandparent_files);
+  }
+
+  // Both daughters reference the same grandparent files; the merged region
+  // gets each one once, and every marker resolves into the grandparent dir.
+  ASSERT_TRUE(
+      cluster.master().merge_regions(daughters[0].region_name, daughters[1].region_name).is_ok());
+  const auto merged = cluster.master().table_regions("t");
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(count_ref_markers(cluster.dfs(), merged[0].region_name), grandparent_files);
+  for (const auto& path : cluster.dfs().list(region_data_dir(merged[0].region_name))) {
+    auto target = cluster.dfs().read_all(path);
+    ASSERT_TRUE(target.is_ok());
+    EXPECT_EQ(target.value().rfind(region_data_dir(grandparent.region_name), 0), 0u) << path;
+  }
+  EXPECT_EQ(cluster.coord().list(kRetiredRegionPrefix).size(), 3u);
+  for (int i = 0; i < 100; ++i) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "row%05d", i);
+    EXPECT_EQ(client.get("t", row, "c", 100).value()->value, "v" + std::to_string(i)) << row;
+  }
+
+  // Once the merged region compacts, no live marker is left: one janitor
+  // sweep reclaims the grandparent and both daughter dirs (the daughters'
+  // own markers into the grandparent are not live — they never reopen) and
+  // erases all three retired records.
+  ASSERT_TRUE(host->compact_region(merged[0].region_name).is_ok());
+  EXPECT_EQ(count_ref_markers(cluster.dfs(), merged[0].region_name), 0u);
+  cluster.master().balance_once();
+  EXPECT_TRUE(cluster.dfs().list(region_data_dir(grandparent.region_name)).empty());
+  for (const auto& d : daughters) {
+    EXPECT_TRUE(cluster.dfs().list(region_data_dir(d.region_name)).empty()) << d.region_name;
+  }
+  EXPECT_TRUE(cluster.coord().list(kRetiredRegionPrefix).empty());
+  for (int i = 0; i < 100; i += 3) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "row%05d", i);
+    EXPECT_EQ(client.get("t", row, "c", 100).value()->value, "v" + std::to_string(i)) << row;
+  }
 }
 
 TEST(TopologyClusterTest, MergeRefusesNonAdjacentRegions) {
