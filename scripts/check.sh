@@ -7,16 +7,15 @@
 #   scripts/check.sh analyze             # negative fixtures + clang TSA build
 #   scripts/check.sh lint                # scripts/lint.sh + negative fixtures
 #   scripts/check.sh sanitize            # ASan+UBSan build + full ctest
-#   scripts/check.sh soak-partition      # 10-seed zombie-server partition soak
-#   scripts/check.sh soak-recovery       # 20-seed cascading-failure soak
-#   scripts/check.sh soak-split          # 20-seed topology-churn soak
+#   scripts/check.sh soak <kind>         # one seeded soak: chaos, cascade or split
+#                                        # over 20 seeds, zombie over 10 (TFR_SOAK_SEEDS=N)
 #   scripts/check.sh bench-smoke         # ~2 s bench_commit group-commit batching floor
 #   scripts/check.sh tfrbench-smoke      # every tfrbench workload for 3 s, audited
 #   TFR_SANITIZE=address scripts/check.sh
 #   TFR_SANITIZE=thread  scripts/check.sh
 #   TFR_SANITIZE=address,undefined scripts/check.sh   # what `sanitize` runs
 #   TFR_CXX=clang++ TFR_SANITIZE=thread scripts/check.sh   # TSan under clang
-#   TFR_CXX=clang++ scripts/check.sh soak-partition        # soak under TSan
+#   TFR_CXX=clang++ scripts/check.sh soak zombie           # soak under TSan
 #
 # TFR_CXX selects the compiler (default: the system default, gcc on the
 # reference machine). Each sanitizer/compiler combination gets its own build
@@ -38,26 +37,6 @@ CXX="${TFR_CXX:-}"
 compiler_is_clang() {
   local probe="${CXX:-c++}"
   command -v "$probe" > /dev/null 2>&1 && "$probe" --version 2> /dev/null | grep -qi clang
-}
-
-# run_soak <seed-count var> <default count> <gtest filter>: build
-# integration_tests and run one soak's seeds 1..N, N from the named variable.
-# Under a clang TFR_CXX the soak builds with TSan in its own tree, so its
-# concurrent paths get raced as well as asserted; otherwise it runs in the
-# plain build.
-run_soak() {
-  local var="$1" filter="$3"
-  local seeds="${!var:-$2}" build_dir=build
-  if compiler_is_clang; then
-    build_dir="build-tsan-$(basename "$CXX" | tr -d +)"
-    cmake -B "$build_dir" -S . -DCMAKE_CXX_COMPILER="$CXX" \
-      -DCMAKE_BUILD_TYPE=Debug -DTFR_SANITIZE=thread
-  else
-    cmake -B "$build_dir" -S .
-  fi
-  cmake --build "$build_dir" -j"$(nproc)" --target integration_tests
-  env "$var=$seeds" "$build_dir/tests/integration_tests" --gtest_filter="$filter"
-  echo "$MODE OK ($seeds seeds$(compiler_is_clang && echo ", TSan under $CXX"))"
 }
 
 MODE="${1:-test}"
@@ -91,25 +70,33 @@ case "$MODE" in
     echo "analyze OK (negative fixtures + clang -Werror=thread-safety, compiler: $CXX)"
     exit 0
     ;;
-  soak-partition)
-    # The epoch-fencing acceptance soak: run the zombie-server scenario
-    # across many seeds (TFR_ZOMBIE_SEEDS, default 10; ctest runs only the
-    # 1-seed smoke).
-    run_soak TFR_ZOMBIE_SEEDS 10 'Seeds/ZombiePartitionTest.*'
-    exit 0
-    ;;
-  soak-recovery)
-    # The bounded-recovery acceptance soak: cascading failures (a second
-    # server crashing while the first recovery is still replaying) across
-    # many seeds (TFR_CASCADE_SEEDS, default 20; ctest runs only a few).
-    run_soak TFR_CASCADE_SEEDS 20 'Seeds/CascadeSoakTest.*'
-    exit 0
-    ;;
-  soak-split)
-    # The dynamic-topology acceptance soak: the balancer splits, merges and
-    # moves regions while servers crash-fail and gray failures inject, across
-    # many seeds (TFR_SPLIT_SEEDS, default 20; ctest runs only a few).
-    run_soak TFR_SPLIT_SEEDS 20 'Seeds/SplitSoakTest.*'
+  soak)
+    # One kind of seeded soak (tests/integration/soak_test.cpp; ctest runs a
+    # few seeds of each) over seeds 1..TFR_SOAK_SEEDS. Under a clang
+    # TFR_CXX it builds with TSan in its own tree, so its concurrent paths
+    # get raced as well as asserted; otherwise it runs in the plain build.
+    KIND="${2:-}"
+    case "$KIND" in
+      chaos | cascade | split) SEEDS="${TFR_SOAK_SEEDS:-20}" ;;
+      zombie) SEEDS="${TFR_SOAK_SEEDS:-10}" ;;
+      *)
+        echo "check.sh soak: unknown kind '$KIND' (use chaos, cascade, split or zombie)" >&2
+        exit 2
+        ;;
+    esac
+    BUILD_DIR=build
+    if compiler_is_clang; then
+      BUILD_DIR="build-tsan-$(basename "$CXX" | tr -d +)"
+      cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_COMPILER="$CXX" \
+        -DCMAKE_BUILD_TYPE=Debug -DTFR_SANITIZE=thread
+    else
+      cmake -B "$BUILD_DIR" -S .
+    fi
+    cmake --build "$BUILD_DIR" -j"$(nproc)" --target integration_tests
+    # Each kind's suite is Seeds/<Kind>SoakTest.
+    TFR_SOAK_SEEDS="$SEEDS" "$BUILD_DIR/tests/integration_tests" \
+      --gtest_filter="Seeds/${KIND^}SoakTest.*"
+    echo "soak $KIND OK ($SEEDS seeds$(compiler_is_clang && echo ", TSan under $CXX"))"
     exit 0
     ;;
   bench-smoke)
@@ -152,7 +139,7 @@ PY
     ;;
   test) ;;
   *)
-    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak-partition, soak-recovery, soak-split, bench-smoke, tfrbench-smoke, or no argument)" >&2
+    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak <kind>, bench-smoke, tfrbench-smoke, or no argument)" >&2
     exit 2
     ;;
 esac

@@ -157,10 +157,14 @@ void RegionServer::heartbeat_tick() {
     // HBase server aborts in this situation; do the same so no stale node
     // keeps serving. crash() joins this thread, so delegate.
     TFR_LOG(WARN, "rs") << id_ << " declared dead by the cluster; terminating";
-    MutexLock lock(terminator_mutex_);
-    if (!self_terminator_.joinable()) {
-      self_terminator_ = std::thread([this] { crash(); });
-    }
+    terminate_self();
+  }
+}
+
+void RegionServer::terminate_self() {
+  MutexLock lock(terminator_mutex_);
+  if (!self_terminator_.joinable()) {
+    self_terminator_ = std::thread([this] { crash(); });
   }
 }
 
@@ -201,10 +205,7 @@ void RegionServer::self_fence() {
                       << session_ttl_.load(std::memory_order_acquire) << "us); ceasing service";
   // crash() joins the heartbeat thread — this IS the heartbeat thread — so
   // delegate to the terminator, exactly like the declared-dead path.
-  MutexLock lock(terminator_mutex_);
-  if (!self_terminator_.joinable()) {
-    self_terminator_ = std::thread([this] { crash(); });
-  }
+  terminate_self();
 }
 
 void RegionServer::wal_sync_tick() {
@@ -224,10 +225,7 @@ void RegionServer::wal_sync_tick() {
       // joins the syncer thread (this thread), so delegate to the
       // terminator.
       TFR_LOG(WARN, "rs") << id_ << " WAL fenced during background sync; ceasing service";
-      MutexLock lock(terminator_mutex_);
-      if (!self_terminator_.joinable()) {
-        self_terminator_ = std::thread([this] { crash(); });
-      }
+      terminate_self();
       return;
     }
   }

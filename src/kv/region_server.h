@@ -301,6 +301,10 @@ class RegionServer {
   /// files, apply and sync its split-WAL edits, run the gate, go online.
   Status open_registered(Region& region, const RecoveredEdits& recovered_edits);
   void heartbeat_tick();
+  /// crash() on the terminator thread, once: the heartbeat and WAL-sync
+  /// threads that decide to stop serving cannot crash() themselves, since
+  /// crash() joins them.
+  void terminate_self();
   /// What an RPC to a server that is not alive answers: ServerDown once it
   /// has crashed, a plain Unavailable while it shuts down (or is mid-crash).
   Status down_status() const;

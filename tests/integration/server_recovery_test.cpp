@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 
@@ -16,6 +15,7 @@
 #include "src/kv/kv_client.h"
 #include "src/recovery/recovery_client.h"
 #include "src/testbed/testbed.h"
+#include "tests/integration/soak.h"
 
 namespace tfr {
 namespace {
@@ -700,14 +700,11 @@ TEST(RecoveryPipelineTest, RegionLoadsItsStoreFilesWhileTheWalSplits) {
 class ProofExpiryRaceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ProofExpiryRaceTest, OneWalSplitWhicheverReportWins) {
-  const char* env = std::getenv("TFR_CHAOS_SEED");
-  const std::uint64_t seed = env ? std::strtoull(env, nullptr, 10) : GetParam();
-  SCOPED_TRACE("race seed " + std::to_string(seed));
+  const std::uint64_t seed = soak::run_seed("race", GetParam());
+  SCOPED_TRACE(soak::replay_hint("race", seed));
   Rng rng(seed);
   const Micros offset = millis(static_cast<std::int64_t>(rng.next_below(21)) - 10);
-  std::printf("[ race     ] seed %llu%s: read %+lld ms from the expiry\n",
-              static_cast<unsigned long long>(seed), env ? " (from TFR_CHAOS_SEED)" : "",
-              static_cast<long long>(offset / 1000));
+  std::printf("[ race     ] read %+lld ms from the expiry\n", static_cast<long long>(offset / 1000));
   TestbedConfig cfg = fast_test_config(3, 1);
   Testbed bed(cfg);
   ASSERT_TRUE(bed.start().is_ok());

@@ -3,7 +3,7 @@
 // rename-based store-file fencing, lease-based self-fencing, and the
 // master's epoch lifecycle (grant at create, bump on move/failover,
 // idempotence under duplicate failure deliveries). The integrated zombie
-// scenario lives in tests/integration/zombie_partition_test.cpp.
+// scenario lives in tests/integration/soak_test.cpp (ZombieSoakTest).
 #include <gtest/gtest.h>
 
 #include <set>
