@@ -99,7 +99,7 @@ void BM_WalAppend(benchmark::State& state) {
   record.cells.push_back(Cell{"row", "c", std::string(100, 'x'), 1, false});
   for (auto _ : state) {
     record.commit_ts = ++ts;
-    benchmark::DoNotOptimize(wal->append(record));
+    benchmark::DoNotOptimize(wal->append({record}));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <set>
 #include <thread>
 
 #include "src/common/backoff.h"
@@ -57,8 +58,6 @@ void Master::add_server(RegionServer* server) {
   servers_[server->id()] = server;
   server_alive_[server->id()] = true;
   server_wal_paths_[server->id()] = server->wal_path();
-  // A fresh incarnation of the id may fail again; forget the old one.
-  downs_handled_.erase(server->id());
 }
 
 std::uint64_t Master::bump_epoch_locked(const std::string& region_name) {
@@ -78,13 +77,18 @@ std::uint64_t Master::region_epoch(const std::string& region_name) const {
   return it == assignment_.end() ? 0 : it->second.epoch;
 }
 
+bool Master::claim_failure(const std::string& server_id, const RegionServer* incarnation) {
+  MutexLock lock(mutex_);
+  auto it = server_alive_.find(server_id);
+  if (it == server_alive_.end() || !it->second) return false;  // unknown or already claimed
+  if (incarnation != nullptr && servers_.at(server_id) != incarnation) return false;
+  it->second = false;
+  ++in_flight_recoveries_;
+  return true;
+}
+
 void Master::report_server_down(const std::string& server_id, bool crashed) {
-  {
-    MutexLock lock(mutex_);
-    server_alive_[server_id] = false;
-    ++in_flight_recoveries_;
-  }
-  failures_.push({server_id, crashed});
+  if (claim_failure(server_id)) failures_.push({server_id, crashed});
 }
 
 void Master::set_hooks(MasterHooks* hooks) {
@@ -451,6 +455,7 @@ int Master::balance_once() {
     RegionLocation loc;
     std::uint64_t bytes = 0;
     std::uint64_t delta = 0;
+    bool has_references = false;
     bool online = false;
   };
   std::vector<Sample> samples;
@@ -465,7 +470,7 @@ int Master::balance_once() {
           (lit != balancer_last_traffic_.end() && total >= lit->second) ? total - lit->second
                                                                         : total;
       traffic_now[rl.region] = total;
-      samples.push_back({ait->second, rl.store_bytes, delta, rl.online});
+      samples.push_back({ait->second, rl.store_bytes, delta, rl.has_references, rl.online});
     }
   }
   // Per-server hotness from the heartbeat-piggybacked coord load reports,
@@ -482,16 +487,19 @@ int Master::balance_once() {
   balancer_last_traffic_ = std::move(traffic_now);  // also prunes vanished regions
   balancer_last_server_load_ = std::move(server_load_now);
 
-  // --- splits: oversized or hot regions -----------------------------------
+  // --- splits: oversized regions ------------------------------------------
   for (const auto& s : samples) {
     if (actions >= max_actions) break;
-    if (!s.online) continue;
-    const bool by_size = cfg.split_store_bytes != 0 && s.bytes > cfg.split_store_bytes;
-    const bool by_traffic = cfg.split_traffic_ops != 0 && s.delta > cfg.split_traffic_ops;
-    if (!by_size && !by_traffic) continue;
+    if (!s.online || cfg.split_store_bytes == 0 || s.bytes <= cfg.split_store_bytes) continue;
+    // A region still reading through reference markers counts each
+    // referenced parent file whole. Localize it this tick instead; the next
+    // tick sees its own size and splits it only if that is still over.
     // InvalidArgument (fewer than two rows) and Unavailable (mid-transition,
-    // racing a failure) are normal here; the next tick retries.
-    if (split_region(s.loc.region_name).is_ok()) ++actions;
+    // racing a failure or a flush) are normal here; the next tick retries.
+    const Status acted = s.has_references
+                             ? stubs.at(s.loc.server_id)->compact_region(s.loc.region_name)
+                             : split_region(s.loc.region_name);
+    if (acted.is_ok()) ++actions;
   }
 
   // --- merges: adjacent cold pairs ----------------------------------------
@@ -610,13 +618,7 @@ void Master::janitor_sweep() {
 }
 
 void Master::on_session_event(const SessionInfo& info, bool expired) {
-  {
-    MutexLock lock(mutex_);
-    auto it = server_alive_.find(info.name);
-    if (it == server_alive_.end() || !it->second) return;  // unknown or already handled
-    it->second = false;
-    ++in_flight_recoveries_;
-  }
+  if (!claim_failure(info.name)) return;
   if (expired) global_counter("master.takeovers_on_expiry").add();
   TFR_LOG(INFO, "master") << "server " << info.name << (expired ? " FAILED" : " left cleanly");
   failures_.push({info.name, expired});
@@ -632,17 +634,10 @@ void Master::suspect_server(const std::string& server_id) {
   }
   global_counter("master.crash_probes").add();
   if (!stub->probe(kMasterNodeId).is_server_down()) return;
-  {
-    MutexLock lock(mutex_);
-    // The session expiry (or a failed open_region) may have flipped the flag
-    // while the probe was out, or the id may have re-registered as a fresh
-    // incarnation. Whichever report flips the flag enqueues the handling;
-    // the other coalesces here, exactly as on_session_event does.
-    auto it = server_alive_.find(server_id);
-    if (!it->second || servers_.at(server_id) != stub) return;
-    it->second = false;
-    ++in_flight_recoveries_;
-  }
+  // The session expiry may have claimed the failure while the probe was
+  // out, or the id may have re-registered as a fresh incarnation: only the
+  // probed incarnation's failure is claimed, and only once.
+  if (!claim_failure(server_id, stub)) return;
   global_counter("master.takeovers_on_proof").add();
   // The probe answers ServerDown only after crash() has run, and crashed()
   // is sticky, so this counter must stay 0: a proof takeover of a server
@@ -693,15 +688,6 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
     // recovery until the new hooks arrive (or the master shuts down).
     if (crashed && hooks_ever_set_) {
       while (hooks_ == nullptr && !stopping_) idle_cv_.wait(lock);
-    }
-    // Idempotence under duplicate failure deliveries: the coordination
-    // service (or an operator via report_server_down) may report the same
-    // dead incarnation more than once. Only the first report runs the WAL
-    // split and reassignment; add_server clears the mark when the id
-    // re-registers.
-    if (!downs_handled_.insert(server_id).second) {
-      TFR_LOG(INFO, "master") << "duplicate failure report for " << server_id << " ignored";
-      return;
     }
     for (auto& [name, loc] : assignment_) {
       if (loc.server_id == server_id) {

@@ -28,7 +28,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -111,8 +110,6 @@ struct BalancerConfig {
   Micros interval = 0;
   /// Split a region whose store grows past this many bytes (0 = off).
   std::uint64_t split_store_bytes = 0;
-  /// Split a region serving more than this many ops per tick (0 = off).
-  std::uint64_t split_traffic_ops = 0;
   /// Merge adjacent regions BOTH colder than this many ops per tick (0 =
   /// merges off)...
   std::uint64_t merge_traffic_ops = 0;
@@ -206,8 +203,8 @@ class Master {
   std::uint64_t region_epoch(const std::string& region_name) const;
 
   /// Deliver a server-failure report, as the coordination listener would.
-  /// Exposed so tests can exercise duplicate failure deliveries:
-  /// handle_server_down is idempotent per server incarnation — a server
+  /// Exposed so tests can exercise duplicate failure deliveries: each
+  /// incarnation's failure is claimed once (claim_failure), so a server
   /// re-reported while (or after) its recovery is in flight does not start
   /// a second WAL split.
   void report_server_down(const std::string& server_id, bool crashed);
@@ -231,6 +228,13 @@ class Master {
 
  private:
   void on_session_event(const SessionInfo& info, bool expired);
+  /// The one failure entry: flip `server_id`'s alive flag and count its
+  /// recovery in flight, so its caller queues the handling. False if the id
+  /// is unknown, its failure is already claimed (duplicate deliveries: an
+  /// expiry, a probe's proof and an operator report of one incarnation
+  /// coalesce here), or — with `incarnation` set — the id has re-registered
+  /// as another server object since. add_server re-arms the flag.
+  bool claim_failure(const std::string& server_id, const RegionServer* incarnation = nullptr);
   void recovery_worker();
   void handle_server_down(const std::string& server_id, bool crashed);
   /// The one topology transition (§9): the server-side half on `host`
@@ -283,10 +287,6 @@ class Master {
   std::map<std::string, bool> server_alive_ TFR_GUARDED_BY(mutex_);
   std::map<std::string, RegionLocation> assignment_ TFR_GUARDED_BY(mutex_);  // region -> location
   std::map<std::string, std::string> server_wal_paths_ TFR_GUARDED_BY(mutex_);
-  /// Servers whose failure handling has started (and, once done, completed)
-  /// for the current incarnation; cleared when the id re-registers. Makes
-  /// handle_server_down idempotent under duplicate failure deliveries.
-  std::set<std::string> downs_handled_ TFR_GUARDED_BY(mutex_);
   MasterHooks* hooks_ TFR_GUARDED_BY(mutex_) = nullptr;
   bool hooks_ever_set_ TFR_GUARDED_BY(mutex_) = false;  // a recovery middleware exists
   bool stopping_ TFR_GUARDED_BY(mutex_) = false;

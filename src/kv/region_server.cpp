@@ -192,7 +192,7 @@ std::vector<RegionServer::RegionLoad> RegionServer::region_loads() const {
   ReaderLock lock(regions_mutex_);
   out.reserve(regions_.size());
   for (const auto& [name, r] : regions_) {
-    out.push_back({name, r->read_ops(), r->write_ops(), r->store_bytes(),
+    out.push_back({name, r->read_ops(), r->write_ops(), r->store_bytes(), r->has_references(),
                    r->state() == RegionState::kOnline});
   }
   return out;
@@ -353,50 +353,56 @@ Status RegionServer::apply_slice(const ApplyRequest& req) {
   write_service_.charge();
 
   for (auto& [region, cells] : by_region) {
-    WalRecord record;
-    record.region = region->name();
-    record.txn_id = req.txn_id;
-    record.client_id = req.client_id;
-    record.commit_ts = req.commit_ts;
-    record.epoch = region->epoch();
-    record.cells = cells;
-    // If the region went offline since the admission check above (a
-    // split/merge/move fenced it), nothing is logged or applied and the
-    // client re-locates.
-    Status applied = region->apply(cells, [&] { return wal_->append(std::move(record)); });
-    if (applied.is_wrong_epoch()) {
-      // Our ownership epoch is stale: the master has fenced this region
-      // (we are a zombie). Stop serving it; the client relocates.
-      TFR_LOG(WARN, "rs") << id_ << " fenced out of " << region->name()
-                          << "; taking the region offline";
-      region->set_state(RegionState::kOffline);
-    }
-    TFR_RETURN_IF_ERROR(applied);
-    if (region->memstore_bytes() > config_.memstore_flush_bytes) {
-      Status flushed = region->flush_memstore();
-      if (!flushed.is_ok()) {
-        if (flushed.is_wrong_epoch()) region->set_state(RegionState::kOffline);
-        return flushed;
-      }
-      if (config_.compaction_file_threshold != 0 &&
-          region->store_file_count() > config_.compaction_file_threshold) {
-        // Merge without pruning: snapshots of any age stay readable. A
-        // compaction that races another flush simply defers to the next one.
-        Status compacted = region->compact(kNoTimestamp);
-        if (!compacted.is_ok() && !compacted.is_unavailable()) return compacted;
-      }
-      // The finalized store file supersedes every WAL entry at or below the
-      // flushed seqno for this region: reclaim closed segments now instead
-      // of waiting for the next heartbeat tick, so a long-lived server's
-      // split cost tracks its un-flushed window, not its lifetime.
-      maybe_roll_wal();
-    }
+    TFR_RETURN_IF_ERROR(write_region(*region, {WalRecord{.txn_id = req.txn_id,
+                                                         .client_id = req.client_id,
+                                                         .commit_ts = req.commit_ts,
+                                                         .cells = std::move(cells)}}));
   }
 
   if (config_.sync_wal_on_write) {
     // Synchronous persistence: the update is durable before we return.
     TFR_RETURN_IF_ERROR(wal_->sync());
   }
+  return Status::ok();
+}
+
+Status RegionServer::write_region(Region& region, std::vector<WalRecord> records) {
+  std::vector<Cell> cells;
+  for (WalRecord& record : records) {
+    record.region = region.name();
+    record.epoch = region.epoch();
+    cells.insert(cells.end(), record.cells.begin(), record.cells.end());
+  }
+  // If the region went offline since the caller's admission check (a
+  // split/merge/move fenced it, or this server crashed), nothing is logged
+  // or applied and the caller surfaces Unavailable.
+  Status applied = region.apply(cells, [&] { return wal_->append(std::move(records)); });
+  if (applied.is_wrong_epoch()) {
+    // Our ownership epoch is stale: the master has fenced this region
+    // (we are a zombie). Stop serving it; the client relocates.
+    TFR_LOG(WARN, "rs") << id_ << " fenced out of " << region.name()
+                        << "; taking the region offline";
+    region.set_state(RegionState::kOffline);
+  }
+  TFR_RETURN_IF_ERROR(applied);
+  if (region.memstore_bytes() <= config_.memstore_flush_bytes) return Status::ok();
+  Status flushed = region.flush_memstore();
+  if (!flushed.is_ok()) {
+    if (flushed.is_wrong_epoch()) region.set_state(RegionState::kOffline);
+    return flushed;
+  }
+  if (config_.compaction_file_threshold != 0 &&
+      region.store_file_count() > config_.compaction_file_threshold) {
+    // Merge without pruning: snapshots of any age stay readable. A
+    // compaction that races another flush simply defers to the next one.
+    Status compacted = region.compact(kNoTimestamp);
+    if (!compacted.is_ok() && !compacted.is_unavailable()) return compacted;
+  }
+  // The finalized store file supersedes every WAL entry at or below the
+  // flushed seqno for this region: reclaim closed segments now instead of
+  // waiting for the next heartbeat tick, so a long-lived server's split
+  // cost tracks its un-flushed window, not its lifetime.
+  maybe_roll_wal();
   return Status::ok();
 }
 
@@ -537,26 +543,21 @@ Status RegionServer::open_registered(Region& region, const RecoveredEdits& recov
   TFR_RETURN_IF_ERROR(region.load_store_files());
 
   // HBase internal recovery: replay the split-WAL edits into a fresh
-  // memstore (§2.1). WAL them locally too, so a crash of *this* server
-  // before its next memstore flush does not re-lose them. The re-appended
-  // records are re-stamped with OUR epoch: the old owner's stamp is fenced
-  // by now, and these appends are the new epoch's writes.
+  // memstore (§2.1) through the write step, as one batch: WAL them locally
+  // too, so a crash of *this* server before its next memstore flush does
+  // not re-lose them. The write step re-stamps them with OUR epoch: the old
+  // owner's stamp is fenced by now, and these appends are the new epoch's
+  // writes. They are not charged write_service_: no client sent them.
   std::vector<WalRecord> edits;
   if (recovered_edits) {
     auto fetched = recovered_edits();
     if (!fetched.is_ok()) return fetched.status();
     edits = std::move(fetched).value();
   }
-  for (const auto& edit : edits) {
-    WalRecord record = edit;
-    record.region = name;
-    record.epoch = region.epoch();
+  if (!edits.empty()) {
     // Offline only if this server crashed mid-open (crash() forces every
     // region offline); the open fails and recovery re-homes the region.
-    TFR_RETURN_IF_ERROR(
-        region.apply(edit.cells, [&] { return wal_->append(std::move(record)); }));
-  }
-  if (!edits.empty()) {
+    TFR_RETURN_IF_ERROR(write_region(region, edits));
     TFR_RETURN_IF_ERROR(wal_->sync());
     TFR_LOG(INFO, "rs") << id_ << " replayed " << edits.size() << " split-WAL edits into "
                         << name;
@@ -706,15 +707,6 @@ Status RegionServer::compact_region(const std::string& region_name,
   auto target = region(region_name);
   if (!target) return Status::not_found("region not open: " + region_name);
   return target->compact(prune_before_ts);
-}
-
-Status RegionServer::close_region(const std::string& region_name) {
-  WriterLock lock(regions_mutex_);
-  auto it = regions_.find(region_name);
-  if (it == regions_.end()) return Status::not_found("region not open: " + region_name);
-  it->second->set_state(RegionState::kOffline);
-  regions_.erase(it);
-  return Status::ok();
 }
 
 Status RegionServer::persist_wal() {

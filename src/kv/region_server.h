@@ -186,8 +186,6 @@ class RegionServer {
   Status open_region(const RegionDescriptor& desc, const RecoveredEdits& recovered_edits,
                      std::uint64_t epoch = 0);
 
-  Status close_region(const std::string& region_name);
-
   /// Sync the WAL to the DFS — the "persist" step of Algorithm 3.
   TFR_BLOCKING Status persist_wal();
 
@@ -252,6 +250,10 @@ class RegionServer {
     std::uint64_t reads = 0;   ///< cumulative gets+scans on this host
     std::uint64_t writes = 0;  ///< cumulative applied write batches
     std::uint64_t store_bytes = 0;
+    /// Still reading through split/merge reference markers: store_bytes
+    /// then counts each referenced parent file whole, not this region's
+    /// part of it.
+    bool has_references = false;
     bool online = false;
   };
   std::vector<RegionLoad> region_loads() const;
@@ -295,8 +297,16 @@ class RegionServer {
   /// per slice; every slice gets down_status() if the server died under the
   /// frame.
   std::vector<Status> apply_frame(const std::vector<ApplyRequest>& slices);
-  /// One slice: WAL-append and apply to the memstores of its regions.
+  /// One slice: admit it, group its mutations by region, charge the write
+  /// service once, then run one write step per region.
   Status apply_slice(const ApplyRequest& req);
+  /// The one write step into a region, for client slices and split-WAL
+  /// edits alike: stamp `records` with the region's name and epoch, append
+  /// them to the WAL as one batch and apply their cells to the memstore in
+  /// one Region::apply (one region-lock hold), take the region offline if
+  /// its epoch is fenced, then flush the memstore past its size threshold,
+  /// compact past the file threshold and roll/reclaim the WAL.
+  Status write_region(Region& region, std::vector<WalRecord> records);
   /// open_region's work once `region` is registered here: load its store
   /// files, apply and sync its split-WAL edits, run the gate, go online.
   Status open_registered(Region& region, const RecoveredEdits& recovered_edits);

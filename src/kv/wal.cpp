@@ -67,33 +67,39 @@ Status Wal::open_segment_locked() {
   return Status::ok();
 }
 
-Result<std::uint64_t> Wal::append(WalRecord record) {
+Result<std::uint64_t> Wal::append(std::vector<WalRecord> records) {
+  if (records.empty()) return Status::invalid_argument("empty WAL batch");
+  static Counter& rejects = global_counter("kv.epoch_rejects");
   MutexLock lock(mutex_);
   if (epochs_ != nullptr) {
-    Status fence = epochs_->validate(record.region, record.epoch);
-    if (!fence.is_ok()) {
-      static Counter& rejects = global_counter("kv.epoch_rejects");
-      rejects.add();
-      TFR_LOG(WARN, "wal") << base_path_ << " rejected stale-epoch append: " << fence;
-      return fence;
+    for (const WalRecord& record : records) {
+      Status fence = epochs_->validate(record.region, record.epoch);
+      if (!fence.is_ok()) {
+        rejects.add();
+        TFR_LOG(WARN, "wal") << base_path_ << " rejected stale-epoch append: " << fence;
+        return fence;
+      }
     }
   }
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
-  record.seq = seq;
-  const std::string framed = record.encode();
+  const std::uint64_t first = next_seq_.fetch_add(records.size(), std::memory_order_acq_rel);
+  const std::uint64_t last = first + records.size() - 1;
+  std::string framed;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].seq = first + i;
+    framed += records[i].encode();
+  }
   Segment& seg = segments_.back();
   Status appended = dfs_->append(seg.path, framed);
   if (appended.is_wrong_epoch()) {
     // The DFS-level writer fence (master fenced our directory before the
     // split) caught what the registry check raced past.
-    static Counter& rejects = global_counter("kv.epoch_rejects");
     rejects.add();
   }
   TFR_RETURN_IF_ERROR(appended);
-  if (seg.first_seq == 0) seg.first_seq = seq;
-  seg.last_seq = std::max(seg.last_seq, seq);
+  if (seg.first_seq == 0) seg.first_seq = first;
+  seg.last_seq = std::max(seg.last_seq, last);
   seg.bytes += framed.size();
-  return seq;
+  return first;
 }
 
 std::vector<std::string> Wal::unsynced_segments_locked() const {
@@ -230,6 +236,14 @@ WalStats Wal::stats() const {
 
 namespace {
 
+// The split's block reader: workers claim block reads off a shared cursor
+// (capped by the block count), and each read retries Unavailable a bounded
+// number of times with a jittered backoff.
+constexpr int kSplitWorkers = 4;
+constexpr int kReadAttempts = 8;
+constexpr Micros kReadBackoffBase = millis(1);
+constexpr Micros kReadBackoffCap = millis(8);
+
 /// Decode every whole frame of one durable segment. A torn final frame
 /// (sync raced a crash) truncates; a checksum mismatch is corruption.
 Status decode_segment(const std::string& path, std::string_view data,
@@ -257,13 +271,12 @@ Status decode_segment(const std::string& path, std::string_view data,
   return Status::ok();
 }
 
-/// Every durable record under `base_path`, in sequence order. Workers claim
-/// one block-aligned read at a time off a shared cursor, across all
-/// segments; each read retries Unavailable a bounded number of times. Each
-/// block lands in its own slot, written by exactly one worker and read only
-/// after the join.
-Result<std::vector<WalRecord>> read_durable(Dfs& dfs, const std::string& base_path,
-                                            const Wal::SplitOptions& options) {
+}  // namespace
+
+// Workers claim one block-aligned read at a time off a shared cursor,
+// across all segments. Each block lands in its own slot, written by exactly
+// one worker and read only after the join.
+Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& base_path) {
   // Live segments are whatever still exists under the base path, in index
   // (and therefore sequence) order.
   auto paths = dfs.list(base_path + ".");
@@ -292,17 +305,17 @@ Result<std::vector<WalRecord>> read_durable(Dfs& dfs, const std::string& base_pa
       const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
       if (k >= reads.size()) return;
       const BlockRead& r = reads[k];
-      Backoff backoff(options.backoff_base, options.backoff_cap);
+      Backoff backoff(kReadBackoffBase, kReadBackoffCap);
       auto data = dfs.read(paths[r.segment], r.offset, block);
       while (!data.is_ok() && data.status().is_unavailable() &&
-             backoff.attempts() + 1 < options.attempts_per_read) {
+             backoff.attempts() + 1 < kReadAttempts) {
         backoff.sleep();
         data = dfs.read(paths[r.segment], r.offset, block);
       }
       blocks[k] = std::move(data);
     }
   };
-  const int workers = std::min<int>(std::max(1, options.workers), static_cast<int>(reads.size()));
+  const int workers = std::min<int>(kSplitWorkers, static_cast<int>(reads.size()));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
@@ -328,21 +341,9 @@ Result<std::vector<WalRecord>> read_durable(Dfs& dfs, const std::string& base_pa
   return out;
 }
 
-}  // namespace
-
-Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& base_path) {
-  return read_durable(dfs, base_path, SplitOptions());
-}
-
 Result<std::map<std::string, std::vector<WalRecord>>> Wal::split(Dfs& dfs,
                                                                  const std::string& base_path) {
-  return split(dfs, base_path, SplitOptions());
-}
-
-Result<std::map<std::string, std::vector<WalRecord>>> Wal::split(Dfs& dfs,
-                                                                 const std::string& base_path,
-                                                                 const SplitOptions& options) {
-  auto records = read_durable(dfs, base_path, options);
+  auto records = read_records(dfs, base_path);
   if (!records.is_ok()) return records.status();
   std::map<std::string, std::vector<WalRecord>> grouped;
   for (auto& r : records.value()) grouped[r.region].push_back(std::move(r));

@@ -59,12 +59,15 @@ class Wal {
   /// Creates the first DFS-backed segment at `<base_path>.00000001`.
   static Result<std::unique_ptr<Wal>> create(Dfs& dfs, std::string base_path);
 
-  /// Append a record to the DFS write pipeline (NOT yet durable). Assigns
-  /// and returns the record's sequence number. With an epoch registry
-  /// attached, a record bearing a stale epoch for its region is rejected
-  /// with WrongEpoch before anything reaches the DFS (the fencing-token
-  /// check; counted in kv.epoch_rejects).
-  Result<std::uint64_t> append(WalRecord record);
+  /// Append a batch of records to the DFS write pipeline (NOT yet durable)
+  /// under one lock hold and as one DFS append: the records get consecutive
+  /// sequence numbers, and the first is returned. A single record is a
+  /// batch of one; an empty batch is InvalidArgument. With an epoch
+  /// registry attached, every record is checked, and one bearing a stale
+  /// epoch for its region rejects the whole batch with WrongEpoch before
+  /// anything reaches the DFS (the fencing-token check; counted in
+  /// kv.epoch_rejects).
+  Result<std::uint64_t> append(std::vector<WalRecord> records);
 
   /// Attach the cluster's epoch registry (nullptr to detach). Not
   /// synchronized with in-flight appends: install before traffic starts.
@@ -107,17 +110,9 @@ class Wal {
   WalStats stats() const;
   const std::string& base_path() const { return base_path_; }
 
-  /// Tuning for the parallel block reads behind read_records() and split().
-  struct SplitOptions {
-    int workers = 4;            ///< worker threads (capped by the block count)
-    int attempts_per_read = 8;  ///< bounded tries of each block read on Unavailable
-    Micros backoff_base = millis(1);
-    Micros backoff_cap = millis(8);
-  };
-
   /// Read all durable records of a (possibly crashed) server's WAL, across
-  /// all of its live segments, in sequence order. Same block reader, same
-  /// rules and default options as split().
+  /// all of its live segments, in sequence order. Same block reader and
+  /// rules as split().
   static Result<std::vector<WalRecord>> read_records(Dfs& dfs, const std::string& base_path);
 
   /// HBase log splitting: group the durable records of a failed server's
@@ -132,8 +127,6 @@ class Wal {
   /// loses durable edits for the regions whose records were dropped. The
   /// master fences the WAL before splitting it, so durable sizes cannot move
   /// under the reads.
-  static Result<std::map<std::string, std::vector<WalRecord>>> split(
-      Dfs& dfs, const std::string& base_path, const SplitOptions& options);
   static Result<std::map<std::string, std::vector<WalRecord>>> split(Dfs& dfs,
                                                                      const std::string& base_path);
 

@@ -78,20 +78,43 @@ TEST(WalFencingTest, StaleEpochAppendRejectedAndCounted) {
   rec.client_id = "c1";
   rec.commit_ts = 5;
   rec.epoch = 1;
-  ASSERT_TRUE(wal.value()->append(rec).is_ok());  // no entry yet: unfenced
+  ASSERT_TRUE(wal.value()->append({rec}).is_ok());  // no entry yet: unfenced
 
   const std::int64_t rejects_before = global_counter("kv.epoch_rejects").get();
   reg.advance_to("r1", 3);
-  EXPECT_TRUE(wal.value()->append(rec).status().is_wrong_epoch());  // epoch 1 < 3
+  EXPECT_TRUE(wal.value()->append({rec}).status().is_wrong_epoch());  // epoch 1 < 3
   EXPECT_EQ(global_counter("kv.epoch_rejects").get(), rejects_before + 1);
 
   rec.epoch = 3;
-  EXPECT_TRUE(wal.value()->append(rec).is_ok());
+  EXPECT_TRUE(wal.value()->append({rec}).is_ok());
   // Another region is not fenced by r1's grant.
   rec.region = "r2";
   rec.epoch = 0;
-  EXPECT_TRUE(wal.value()->append(rec).is_ok());
+  EXPECT_TRUE(wal.value()->append({rec}).is_ok());
   EXPECT_EQ(global_counter("kv.epoch_rejects").get(), rejects_before + 1);
+}
+
+TEST(WalFencingTest, OneStaleRecordRejectsTheWholeBatch) {
+  Dfs dfs(DfsConfig{});
+  auto wal = Wal::create(dfs, "/wal/rs9.log").value();
+  EpochRegistry reg;
+  wal->set_epoch_registry(&reg);
+  WalRecord fresh;
+  fresh.region = "r1";  // no registry entry: unfenced
+  fresh.commit_ts = 5;
+  WalRecord stale = fresh;
+  stale.region = "r2";
+  stale.epoch = 1;
+  reg.advance_to("r2", 2);
+
+  const std::int64_t rejects_before = global_counter("kv.epoch_rejects").get();
+  EXPECT_TRUE(wal->append({fresh, stale, fresh}).status().is_wrong_epoch());
+  EXPECT_EQ(global_counter("kv.epoch_rejects").get(), rejects_before + 1);
+  // Nothing of the batch reached the WAL, and no seq was burned.
+  EXPECT_EQ(wal->appended_seq(), 0u);
+  ASSERT_TRUE(wal->sync().is_ok());
+  EXPECT_TRUE(Wal::read_records(dfs, "/wal/rs9.log").value().empty());
+  EXPECT_EQ(wal->append({fresh}).value(), 1u);
 }
 
 // --- DFS writer fencing ------------------------------------------------------

@@ -20,8 +20,8 @@ WalRecord record_for(Timestamp ts) {
 TEST(IntegrityTest, CorruptedWalRecordIsDetected) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/x.log").value();
-  ASSERT_TRUE(wal->append(record_for(1)).is_ok());
-  ASSERT_TRUE(wal->append(record_for(2)).is_ok());
+  ASSERT_TRUE(wal->append({record_for(1)}).is_ok());
+  ASSERT_TRUE(wal->append({record_for(2)}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   // Sanity: clean read works.
   ASSERT_EQ(Wal::read_records(dfs, "/wal/x.log").value().size(), 2u);
@@ -52,9 +52,9 @@ TEST(IntegrityTest, CorruptionInOneRecordDoesNotHideTornTailHandling) {
   // mismatch on a complete frame is an error.
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/y.log").value();
-  ASSERT_TRUE(wal->append(record_for(1)).is_ok());
+  ASSERT_TRUE(wal->append({record_for(1)}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
-  ASSERT_TRUE(wal->append(record_for(2)).is_ok());  // never synced
+  ASSERT_TRUE(wal->append({record_for(2)}).is_ok());  // never synced
   wal->crash();
   auto records = Wal::read_records(dfs, "/wal/y.log");
   ASSERT_TRUE(records.is_ok());

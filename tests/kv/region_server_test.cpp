@@ -160,6 +160,73 @@ TEST_F(RegionServerTest, OpenWhoseEditsFailLeavesNoRegionBehind) {
   EXPECT_TRUE(gated);
 }
 
+TEST_F(RegionServerTest, SplitEditsOverTheFlushThresholdFlushDuringTheOpen) {
+  // The split edits take the write path's step as one batch, so its
+  // memstore-size flush runs during the open, not at the first client write.
+  RegionServerConfig cfg = quiet_config();
+  cfg.memstore_flush_bytes = 200;
+  RegionServer small("rs-open-flush", dfs_, coord_, cfg);
+  ASSERT_TRUE(small.start().is_ok());
+  std::vector<WalRecord> edits;
+  for (Timestamp ts = 1; ts <= 40; ++ts) {
+    WalRecord edit;
+    edit.region = "old-name";  // re-stamped with this region's name and epoch
+    edit.commit_ts = ts;
+    edit.cells.push_back(Cell{"row" + std::to_string(ts), "c", "v" + std::to_string(ts), ts,
+                              false});
+    edits.push_back(std::move(edit));
+  }
+  std::size_t gate_saw = 0;
+  small.set_region_gate([&](const std::string&, const std::string&,
+                            const std::vector<WalRecord>& recovered) {
+    gate_saw = recovered.size();
+  });
+  ASSERT_TRUE(small.open_region(RegionDescriptor{"t9", "", ""}, [&] { return edits; }).is_ok());
+  auto region = small.region("t9,");
+  ASSERT_NE(region, nullptr);
+  EXPECT_GE(region->store_file_count(), 1u);
+  EXPECT_LE(region->memstore_bytes(), cfg.memstore_flush_bytes);
+  EXPECT_EQ(gate_saw, edits.size());
+  // One batch: consecutive seqs, all synced before the gate.
+  EXPECT_EQ(small.wal().appended_seq(), edits.size());
+  EXPECT_EQ(small.wal().synced_seq(), edits.size());
+  for (Timestamp ts = 1; ts <= 40; ++ts) {
+    auto cell = small.get("t9", "row" + std::to_string(ts), "c", 100);
+    ASSERT_TRUE(cell.is_ok() && cell.value().has_value()) << ts;
+    EXPECT_EQ(cell.value()->value, "v" + std::to_string(ts));
+  }
+}
+
+TEST_F(RegionServerTest, OpenFencedMidOpenFailsAndLeavesNoRegionBehind) {
+  // The master re-fences the region while its split edits are fetched (a
+  // later failure took it over): the write step's WAL batch is rejected,
+  // the open fails before the gate, and nothing of the region stays here.
+  EpochRegistry epochs;
+  RegionServer fenced("rs-fenced-open", dfs_, coord_, quiet_config());
+  fenced.set_epoch_registry(&epochs);
+  ASSERT_TRUE(fenced.start().is_ok());
+  bool gated = false;
+  fenced.set_region_gate([&](const std::string&, const std::string&,
+                             const std::vector<WalRecord>&) { gated = true; });
+  const RegionServer::RecoveredEdits refenced = [&]() -> Result<std::vector<WalRecord>> {
+    epochs.advance_to("t10,", 2);
+    WalRecord edit;
+    edit.commit_ts = 3;
+    edit.cells.push_back(Cell{"rx", "c", "recovered", 3, false});
+    return std::vector<WalRecord>{edit, edit};
+  };
+  const std::int64_t rejects_before = global_counter("kv.epoch_rejects").get();
+  EXPECT_TRUE(fenced.open_region(RegionDescriptor{"t10", "", ""}, refenced, /*epoch=*/1)
+                  .is_wrong_epoch());
+  EXPECT_FALSE(gated);
+  EXPECT_EQ(fenced.region("t10,"), nullptr);
+  EXPECT_EQ(fenced.wal().appended_seq(), 0u);  // the batch left nothing in the WAL
+  EXPECT_EQ(global_counter("kv.epoch_rejects").get(), rejects_before + 1);
+  // The grant that fenced it opens it.
+  ASSERT_TRUE(fenced.open_region(RegionDescriptor{"t10", "", ""}, refenced, 2).is_ok());
+  EXPECT_EQ(fenced.get("t10", "rx", "c", 10).value()->value, "recovered");
+}
+
 TEST_F(RegionServerTest, RegionGateRunsBeforeOnline) {
   std::string gated_region;
   RegionState state_in_gate = RegionState::kOffline;
@@ -264,7 +331,7 @@ TEST_F(RegionServerTest, PreHeartbeatHookSuppliesPayload) {
 }
 
 TEST_F(RegionServerTest, MultiRegionApplyIsGroupedByRegion) {
-  ASSERT_TRUE(server_.close_region("t,").is_ok());
+  ASSERT_TRUE(server_.offload_region("t,").is_ok());
   ASSERT_TRUE(server_.open_region(RegionDescriptor{"t", "", "m"}, {}).is_ok());
   ASSERT_TRUE(server_.open_region(RegionDescriptor{"t", "m", ""}, {}).is_ok());
   ASSERT_TRUE(apply_one(server_, make_request(5, {"a", "z"})).is_ok());

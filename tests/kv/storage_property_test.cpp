@@ -85,7 +85,7 @@ TEST_P(WalSplitPropertyTest, SplitEqualsReferenceOnSyncedPrefix) {
     rec.region = region;
     rec.commit_ts = i + 1;
     rec.cells.push_back(Cell{"row" + std::to_string(i), "c", "v", i + 1, false});
-    auto seq = wal->append(std::move(rec));
+    auto seq = wal->append({std::move(rec)});
     ASSERT_TRUE(seq.is_ok());
     appended = seq.value();
     seq_region[appended] = region;

@@ -327,6 +327,47 @@ TEST(TopologyClusterTest, BalancerSplitsOversizedRegionAndCountsIt) {
   EXPECT_GE(global_counter("master.region_splits").get(), 1);
 }
 
+TEST(TopologyClusterTest, BalancerLocalizesASplitChildBeforeSplittingItAgain) {
+  // A child reads its half through a reference to the whole parent file, so
+  // its apparent size is the parent's. The balancer must localize it first
+  // and judge its own half, not split it again by the parent's bytes.
+  reset_global_counters();
+  Cluster cluster(topo_cluster(2));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  ASSERT_TRUE(client.flush_writesets({rows_ws(1, 0, 200)}).is_ok());
+  const RegionLocation parent = cluster.master().table_regions("t").front();
+  auto region = cluster.master().server_stub(parent.server_id)->region(parent.region_name);
+  ASSERT_TRUE(region->flush_memstore().is_ok());
+  const std::uint64_t parent_bytes = region->store_bytes();
+  ASSERT_GT(parent_bytes, 0u);
+  region.reset();
+
+  BalancerConfig cfg;  // manual ticks only (interval == 0)
+  cfg.split_store_bytes = parent_bytes * 3 / 4;  // the parent is over, each half under
+  cluster.master().enable_balancer(cfg);
+  int ticks = 0;
+  while (cluster.master().balance_once() > 0 && ++ticks < 10) {
+  }
+  ASSERT_LT(ticks, 10) << "the balancer never settled";
+
+  EXPECT_EQ(global_counter("master.region_splits").get(), 1);
+  const auto children = cluster.master().table_regions("t");
+  ASSERT_EQ(children.size(), 2u);
+  for (const auto& child : children) {
+    auto hosted = cluster.master().server_stub(child.server_id)->region(child.region_name);
+    ASSERT_NE(hosted, nullptr);
+    EXPECT_FALSE(hosted->has_references()) << child.region_name;
+    EXPECT_LE(hosted->store_bytes(), cfg.split_store_bytes) << child.region_name;
+  }
+  for (int i = 0; i < 200; i += 13) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "row%05d", i);
+    EXPECT_EQ(client.get("t", row, "c", 100).value()->value, "v" + std::to_string(i));
+  }
+}
+
 TEST(TopologyClusterTest, BalancerMergesColdAdjacentPair) {
   reset_global_counters();
   Cluster cluster(topo_cluster(2));

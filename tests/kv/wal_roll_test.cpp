@@ -29,7 +29,7 @@ WalRecord rec(const std::string& region, Timestamp ts) {
 TEST(WalRollTest, RollOpensFreshSegment) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());
   EXPECT_EQ(wal->stats().live_segments, 2u);
   EXPECT_EQ(wal->stats().rolls, 1u);
@@ -41,11 +41,11 @@ TEST(WalRollTest, RollOpensFreshSegment) {
 TEST(WalRollTest, RecordsSpanSegmentsInOrder) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("a", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("a", 1)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());
-  ASSERT_TRUE(wal->append(rec("b", 2)).is_ok());
+  ASSERT_TRUE(wal->append({rec("b", 2)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());
-  ASSERT_TRUE(wal->append(rec("a", 3)).is_ok());
+  ASSERT_TRUE(wal->append({rec("a", 3)}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
 
   auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
@@ -61,11 +61,11 @@ TEST(WalRollTest, RecordsSpanSegmentsInOrder) {
 TEST(WalRollTest, TruncateRemovesOnlyObsoleteClosedSegments) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());  // seg 1: seq 1
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());  // seg 1: seq 1
   ASSERT_TRUE(wal->roll().is_ok());
-  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());  // seg 2: seq 2
+  ASSERT_TRUE(wal->append({rec("r", 2)}).is_ok());  // seg 2: seq 2
   ASSERT_TRUE(wal->roll().is_ok());
-  ASSERT_TRUE(wal->append(rec("r", 3)).is_ok());  // seg 3 (open): seq 3
+  ASSERT_TRUE(wal->append({rec("r", 3)}).is_ok());  // seg 3 (open): seq 3
 
   // Nothing needed below seq 2: only segment 1 goes.
   EXPECT_EQ(wal->truncate_obsolete(2), 1u);
@@ -83,7 +83,7 @@ TEST(WalRollTest, TruncateRemovesOnlyObsoleteClosedSegments) {
 TEST(WalRollTest, TruncateIsNoopWhenEverythingStillNeeded) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());
   EXPECT_EQ(wal->truncate_obsolete(1), 0u);
   EXPECT_EQ(wal->stats().live_segments, 2u);
@@ -92,9 +92,9 @@ TEST(WalRollTest, TruncateIsNoopWhenEverythingStillNeeded) {
 TEST(WalRollTest, CrashLosesOnlyOpenSegmentTail) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());                // seq 1 durable via roll
-  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());   // open segment, not synced
+  ASSERT_TRUE(wal->append({rec("r", 2)}).is_ok());   // open segment, not synced
   wal->crash();
   auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
   ASSERT_EQ(records.size(), 1u);
@@ -116,7 +116,7 @@ TEST(WalRollTest, ConcurrentAppendRollSyncNeverCoversANonDurableRecord) {
   for (std::size_t w = 0; w < appended.size(); ++w) {
     threads.emplace_back([&, w] {
       for (Timestamp ts = 1; !stop.load(std::memory_order_acquire); ++ts) {
-        auto seq = wal->append(rec("r" + std::to_string(w), ts));
+        auto seq = wal->append({rec("r" + std::to_string(w), ts)});
         ASSERT_TRUE(seq.is_ok()) << seq.status();
         appended[w].push_back(seq.value());
         std::this_thread::yield();
@@ -168,14 +168,14 @@ TEST(WalRollTest, SyncCoversASegmentWhoseRollFailedToSync) {
   FaultInjector fault;
   dfs.set_fault_injector(&fault);
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());
   FaultRule fail_sync;
   fail_sync.op = FaultOp::kDfsSync;
   fail_sync.fail_next = 1;
   fault.add_rule(fail_sync);
   EXPECT_TRUE(wal->roll().is_unavailable());
   EXPECT_EQ(wal->synced_seq(), 0u);
-  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 2)}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   EXPECT_EQ(wal->synced_seq(), 2u);
   wal->crash();
@@ -336,7 +336,7 @@ TEST(WalRollTest, SplitAfterCrashSeesAllLiveSegments) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
   for (Timestamp ts = 1; ts <= 6; ++ts) {
-    ASSERT_TRUE(wal->append(rec(ts % 2 ? "odd" : "even", ts)).is_ok());
+    ASSERT_TRUE(wal->append({rec(ts % 2 ? "odd" : "even", ts)}).is_ok());
     if (ts % 2 == 0) ASSERT_TRUE(wal->roll().is_ok());
   }
   EXPECT_EQ(wal->truncate_obsolete(3), 1u);  // seqs 1-2 were "flushed"
@@ -352,9 +352,9 @@ TEST(WalRollTest, SplitAfterCrashSeesAllLiveSegments) {
 TEST(WalRollTest, TruncateStopsAtMasterFence) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 1)}).is_ok());
   ASSERT_TRUE(wal->roll().is_ok());
-  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());
+  ASSERT_TRUE(wal->append({rec("r", 2)}).is_ok());
   // The master fenced this server's WAL directory: it is being recovered,
   // and the split must see every remaining segment.
   dfs.fence_prefix("/wal/rs1.log");
@@ -367,13 +367,11 @@ TEST(WalRollTest, ParallelSplitMatchesSequentialReadAndKeepsSeqOrder) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
   for (Timestamp ts = 1; ts <= 40; ++ts) {
-    ASSERT_TRUE(wal->append(rec(ts % 2 ? "odd" : "even", ts)).is_ok());
+    ASSERT_TRUE(wal->append({rec(ts % 2 ? "odd" : "even", ts)}).is_ok());
     if (ts % 8 == 0) ASSERT_TRUE(wal->roll().is_ok());
   }
   ASSERT_TRUE(wal->sync().is_ok());
-  Wal::SplitOptions opts;
-  opts.workers = 4;
-  auto grouped = Wal::split(dfs, "/wal/rs1.log", opts).value();
+  auto grouped = Wal::split(dfs, "/wal/rs1.log").value();
   ASSERT_EQ(grouped.size(), 2u);
   // Worker interleaving must not disturb per-region sequence order.
   std::size_t total = 0;
@@ -391,7 +389,7 @@ TEST(WalRollTest, SplitIsAllOrNothingOnCorruptSegment) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
   for (Timestamp ts = 1; ts <= 4; ++ts) {
-    ASSERT_TRUE(wal->append(rec("r", ts)).is_ok());
+    ASSERT_TRUE(wal->append({rec("r", ts)}).is_ok());
     if (ts % 2 == 0) ASSERT_TRUE(wal->roll().is_ok());
   }
   ASSERT_TRUE(wal->sync().is_ok());
@@ -420,7 +418,7 @@ void write_three_segments(Dfs& dfs) {
   for (Timestamp ts = 1; ts <= 18; ++ts) {
     WalRecord r = rec(ts % 3 == 0 ? "a" : "b", ts);
     r.cells.front().value = std::string(static_cast<std::size_t>(90 + ts), 'v');
-    ASSERT_TRUE(wal->append(std::move(r)).is_ok());
+    ASSERT_TRUE(wal->append({std::move(r)}).is_ok());
     if (ts % 6 == 0 && ts < 18) {
       ASSERT_TRUE(wal->roll().is_ok());
     }

@@ -35,16 +35,53 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
 TEST(WalTest, AppendAssignsMonotonicSeq) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  EXPECT_EQ(wal->append(make_record("r", 1, "a")).value(), 1u);
-  EXPECT_EQ(wal->append(make_record("r", 2, "b")).value(), 2u);
+  EXPECT_EQ(wal->append({make_record("r", 1, "a")}).value(), 1u);
+  EXPECT_EQ(wal->append({make_record("r", 2, "b")}).value(), 2u);
   EXPECT_EQ(wal->appended_seq(), 2u);
   EXPECT_EQ(wal->synced_seq(), 0u);
+}
+
+TEST(WalTest, BatchAppendTakesConsecutiveSeqs) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  EXPECT_EQ(wal->append({make_record("r", 1, "a")}).value(), 1u);
+  EXPECT_EQ(wal->append({make_record("r", 2, "b"), make_record("q", 3, "c"),
+                         make_record("r", 4, "d")})
+                .value(),
+            2u);  // the batch's first seq
+  EXPECT_EQ(wal->appended_seq(), 4u);
+  EXPECT_EQ(wal->append({}).status().code(), Code::kInvalidArgument);
+  EXPECT_EQ(wal->appended_seq(), 4u);
+  ASSERT_TRUE(wal->sync().is_ok());
+  const auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
+  ASSERT_EQ(records.size(), 4u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i + 1);
+    EXPECT_EQ(records[i].commit_ts, static_cast<Timestamp>(i + 1));  // batch order kept
+  }
+}
+
+TEST(WalTest, TornTailAfterABatchKeepsTheDurablePrefix) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  ASSERT_TRUE(wal->append({make_record("r", 1, "a"), make_record("r", 2, "b"),
+                           make_record("r", 3, "c")})
+                  .is_ok());
+  ASSERT_TRUE(wal->sync().is_ok());
+  // A sync that raced a crash left half of the next frame durable.
+  const std::string next = make_record("r", 4, "d").encode();
+  ASSERT_TRUE(dfs.append("/wal/rs1.log.00000001", next.substr(0, next.size() / 2)).is_ok());
+  ASSERT_TRUE(dfs.sync("/wal/rs1.log.00000001").is_ok());
+  const auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records.back().seq, 3u);
+  EXPECT_EQ(records.back().commit_ts, 3);
 }
 
 TEST(WalTest, SyncAdvancesSyncedSeq) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(make_record("r", 1, "a")).is_ok());
+  ASSERT_TRUE(wal->append({make_record("r", 1, "a")}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   EXPECT_EQ(wal->synced_seq(), 1u);
 }
@@ -52,9 +89,9 @@ TEST(WalTest, SyncAdvancesSyncedSeq) {
 TEST(WalTest, CrashLosesUnsyncedRecords) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(make_record("r", 1, "a")).is_ok());
+  ASSERT_TRUE(wal->append({make_record("r", 1, "a")}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
-  ASSERT_TRUE(wal->append(make_record("r", 2, "b")).is_ok());  // never synced
+  ASSERT_TRUE(wal->append({make_record("r", 2, "b")}).is_ok());  // never synced
   wal->crash();
   auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
   ASSERT_EQ(records.size(), 1u);
@@ -64,9 +101,9 @@ TEST(WalTest, CrashLosesUnsyncedRecords) {
 TEST(WalTest, SplitGroupsByRegionInSeqOrder) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(make_record("regA", 1, "a")).is_ok());
-  ASSERT_TRUE(wal->append(make_record("regB", 2, "m")).is_ok());
-  ASSERT_TRUE(wal->append(make_record("regA", 3, "b")).is_ok());
+  ASSERT_TRUE(wal->append({make_record("regA", 1, "a")}).is_ok());
+  ASSERT_TRUE(wal->append({make_record("regB", 2, "m")}).is_ok());
+  ASSERT_TRUE(wal->append({make_record("regA", 3, "b")}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   auto grouped = Wal::split(dfs, "/wal/rs1.log").value();
   ASSERT_EQ(grouped.size(), 2u);
@@ -90,7 +127,7 @@ TEST(WalTest, ConcurrentAppendersAllLand) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&wal, t] {
       for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(wal->append(make_record("r" + std::to_string(t), t * 1000 + i, "row"))
+        ASSERT_TRUE(wal->append({make_record("r" + std::to_string(t), t * 1000 + i, "row")})
                         .is_ok());
       }
     });
@@ -110,7 +147,7 @@ TEST(WalTest, GroupCommitSkipsRedundantSyncs) {
   DfsConfig cfg;
   Dfs dfs{cfg};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(make_record("r", 1, "a")).is_ok());
+  ASSERT_TRUE(wal->append({make_record("r", 1, "a")}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   ASSERT_TRUE(wal->sync().is_ok());  // nothing new: free no-op in the DFS
   EXPECT_EQ(dfs.stats().syncs, 1);
@@ -124,8 +161,8 @@ TEST(WalTest, ReadRecordsOnMissingFileFails) {
 TEST(WalTest, StatsReflectActivity) {
   Dfs dfs{DfsConfig{}};
   auto wal = Wal::create(dfs, "/wal/rs1.log").value();
-  ASSERT_TRUE(wal->append(make_record("r", 1, "a")).is_ok());
-  ASSERT_TRUE(wal->append(make_record("r", 2, "b")).is_ok());
+  ASSERT_TRUE(wal->append({make_record("r", 1, "a")}).is_ok());
+  ASSERT_TRUE(wal->append({make_record("r", 2, "b")}).is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   const auto stats = wal->stats();
   EXPECT_EQ(stats.appended_records, 2u);
