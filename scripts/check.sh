@@ -9,6 +9,7 @@
 #   scripts/check.sh sanitize            # ASan+UBSan build + full ctest
 #   scripts/check.sh soak <kind>         # one seeded soak: chaos, cascade or split
 #                                        # over 20 seeds, zombie over 10 (TFR_SOAK_SEEDS=N)
+#   scripts/check.sh loc                 # non-blank, non-comment C++ lines under src/
 #   scripts/check.sh bench-smoke         # ~2 s bench_commit group-commit batching floor
 #   scripts/check.sh tfrbench-smoke      # every tfrbench workload for 3 s, audited
 #   TFR_SANITIZE=address scripts/check.sh
@@ -99,6 +100,19 @@ case "$MODE" in
     echo "soak $KIND OK ($SEEDS seeds$(compiler_is_clang && echo ", TSan under $CXX"))"
     exit 0
     ;;
+  loc)
+    # The size simplicity changes report: lines of src/**/*.{cpp,h} that are
+    # neither blank nor a // comment, for src/ and each of its subdirectories.
+    count_loc() {
+      find "$1" -type f \( -name '*.cpp' -o -name '*.h' \) -exec cat {} + |
+        grep -cv '^[[:space:]]*\(//.*\)\?$' || true
+    }
+    printf '%-16s %6s\n' src "$(count_loc src)"
+    for dir in src/*/; do
+      printf '%-16s %6s\n' "${dir%/}" "$(count_loc "$dir")"
+    done
+    exit 0
+    ;;
   bench-smoke)
     # Runs bench_commit at full scale (about 1 s of commits) and guards
     # group-commit batching under 8 committers: the adaptive hold gives
@@ -139,7 +153,7 @@ PY
     ;;
   test) ;;
   *)
-    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak <kind>, bench-smoke, tfrbench-smoke, or no argument)" >&2
+    echo "unknown subcommand '$MODE' (use: analyze, lint, sanitize, soak <kind>, loc, bench-smoke, tfrbench-smoke, or no argument)" >&2
     exit 2
     ;;
 esac

@@ -50,7 +50,7 @@ RANKS = [
      "coord, TM, TM log, KV client paths",
      "serializes recovery: replay RPCs and coord marker writes happen under it"),
     ("kRecoveryTracker", 190,
-     "persist_tracker, recovery_client, flush_tracker.advance", True,
+     "persist_tracker, flush_tracker.advance", True,
      "TP(s) / TF(c) trackers (Alg. 1+3)", "WAL sync (TP persist step)",
      "Algorithm 3's atomic probe-and-publish deliberately holds the tracker "
      "mutex across Wal::sync (see persist_tracker.cpp)"),

@@ -1,21 +1,30 @@
 // Master — coordinates region assignment across region servers (§2.1) and
-// drives the store's internal recovery when a server dies:
+// drives the store's internal recovery when a server dies. The class is one
+// object in four files: assignment, routing, epochs and hooks (master.cpp),
+// failure handling (failover.cpp), topology transitions (topology.cpp), and
+// the balancer with the topology janitor (balancer.cpp).
 //
-//   1. The server is declared dead on one of two triggers. Proof: a
+// A server's failure (failover.cpp, DESIGN §6):
+//
+//   1. Detect. The server is declared dead on one of two triggers. Proof: a
 //      client's RPC bounced off it with ServerDown and the master's own
 //      probe confirms the crash (suspect_server) — no wait. Silence: the
 //      coordination service reports the server's session expiry (HBase uses
 //      its own heartbeats; ours flow through minizk as the paper's
 //      implementation does) — a timeout, partition or stalled heartbeat
-//      thread waits out the TTL. Either way the takeover below is fenced.
-//   2. The master notifies the recovery-middleware hook (`on_server_failure`)
-//      — the hook the paper added to the HBase master (§3.2).
-//   3. It splits the failed server's WAL by region and, at the same time,
-//      reassigns each region to a live server, which loads the region's
-//      store files while the split runs. The receiving server then waits
-//      for that region's recovered edits, replays and syncs them, and runs
-//      the region gate (recovery manager replay of what the split did not
-//      recover) before declaring the region online.
+//      thread waits out the TTL. Either way claim_failure claims it once and
+//      a handler thread runs handle_server_down over the phases below.
+//   2. fence_regions: bump the regions' epochs, fence the WAL at the DFS,
+//      and notify the recovery-middleware hook (`on_server_failure`) — the
+//      hook the paper added to the HBase master (§3.2).
+//   3. split_wal splits the failed server's WAL by region while, at the same
+//      time, recover_region reassigns each region to a live server, which
+//      loads the region's store files while the split runs. The receiving
+//      server then waits for that region's recovered edits, replays and
+//      syncs them, and runs the region gate (recovery manager replay of what
+//      the split did not recover) before declaring the region online.
+//      reflush_superseded_edits covers a region a later failure took over.
+//   4. purge_wal reclaims the dead server's WAL once every region is online.
 //
 // Regions are recovered independently (Algorithm 4's loop, fanned out over
 // a small worker pool), and distinct server failures are handled on their
@@ -26,6 +35,8 @@
 #pragma once
 
 #include <functional>
+#include <future>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,10 +44,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/epoch.h"
-
 #include "src/common/annotations.h"
-#include "src/common/queue.h"
+#include "src/common/epoch.h"
 #include "src/coord/coord.h"
 #include "src/dfs/dfs.h"
 #include "src/kv/region_server.h"
@@ -134,7 +143,8 @@ class Master {
   Master(const Master&) = delete;
   Master& operator=(const Master&) = delete;
 
-  /// Subscribe to server-session events and start the recovery worker.
+  /// Subscribe to server-session events. stop() unsubscribes, releases a
+  /// handler held waiting for hooks and waits for every failure handler.
   void start();
   void stop();
 
@@ -227,16 +237,46 @@ class Master {
   void wait_for_idle() const;
 
  private:
+  /// Region name -> its split-WAL edits, and the split's shared result.
+  using SplitEdits = std::map<std::string, std::vector<WalRecord>>;
+  using WalSplit = std::shared_future<Result<SplitEdits>>;
+
+  // --- failure handling (failover.cpp) --------------------------------------
   void on_session_event(const SessionInfo& info, bool expired);
   /// The one failure entry: flip `server_id`'s alive flag and count its
-  /// recovery in flight, so its caller queues the handling. False if the id
+  /// recovery in flight, so its caller starts the handler. False if the id
   /// is unknown, its failure is already claimed (duplicate deliveries: an
   /// expiry, a probe's proof and an operator report of one incarnation
   /// coalesce here), or — with `incarnation` set — the id has re-registered
   /// as another server object since. add_server re-arms the flag.
   bool claim_failure(const std::string& server_id, const RegionServer* incarnation = nullptr);
-  void recovery_worker();
+  /// Run a claimed failure's handle_server_down on a thread of its own. A
+  /// finished handler is joined by the next one to finish, or by stop().
+  void start_handler(const std::string& server_id, bool crashed);
+  /// The §3.2 sequence for one failed server, as the phases below.
   void handle_server_down(const std::string& server_id, bool crashed);
+  /// Fence: bump each of the server's regions' epochs, fence its WAL at the
+  /// DFS, and call the hook's on_server_failure. Returns the regions under
+  /// their new epochs and sets `wal_path`.
+  std::vector<RegionLocation> fence_regions(const std::string& server_id, bool crashed,
+                                            std::string* wal_path);
+  /// Split the server's WAL by region, retrying a failed split from scratch
+  /// a bounded number of times. An error means the region edits are unknown.
+  Result<SplitEdits> split_wal(const std::string& server_id, const std::string& wal_path);
+  /// Place one region on a live server (`salt` picks it) and open it with
+  /// its split edits; retry elsewhere after a failed open. False if the
+  /// region did not come online here: a later failure took it over, no
+  /// server was live, or the split gave up (the region is handed back).
+  bool recover_region(const std::string& server_id, const RegionLocation& loc,
+                      std::size_t salt, WalSplit split);
+  /// Re-flush a superseded region's split edits through the routed write
+  /// path to whoever owns the rows now (DESIGN §8.4).
+  void reflush_superseded_edits(const RegionLocation& loc,
+                                const Result<std::vector<WalRecord>>& records);
+  /// Reclaim the dead server's WAL segments.
+  void purge_wal(const std::string& server_id, const std::string& wal_path);
+
+  // --- topology (topology.cpp) and the balancer (balancer.cpp) --------------
   /// The one topology transition (§9): the server-side half on `host`
   /// (fence + flush the parents, write the children's reference markers),
   /// then the commit — re-check each parent's epoch snapshot, one epoch
@@ -294,8 +334,9 @@ class Master {
   int in_flight_recoveries_ TFR_GUARDED_BY(mutex_) = 0;
   mutable CondVar idle_cv_;
 
-  BlockingQueue<std::pair<std::string, bool>> failures_;   // (server, crashed?)
-  std::thread worker_;
+  /// Running failure handlers, and the last one to finish (not yet joined).
+  std::list<std::thread> handlers_ TFR_GUARDED_BY(mutex_);
+  std::thread finished_handler_ TFR_GUARDED_BY(mutex_);
   int listener_id_ = 0;
 
   /// Balancer state. The tick lock serializes whole topology transactions

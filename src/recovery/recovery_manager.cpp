@@ -1,11 +1,58 @@
 #include "src/recovery/recovery_manager.h"
 
 #include <algorithm>
+#include <string_view>
+#include <tuple>
 
 #include "src/common/logging.h"
-#include "src/common/queue.h"
 
 namespace tfr {
+
+namespace {
+
+std::int64_t count_mutations(const std::vector<WriteSet>& writesets) {
+  std::int64_t n = 0;
+  for (const auto& ws : writesets) n += static_cast<std::int64_t>(ws.mutations.size());
+  return n;
+}
+
+}  // namespace
+
+std::vector<WriteSet> filter_for_region(const std::vector<WriteSet>& writesets,
+                                        const RegionDescriptor& region,
+                                        const std::vector<WalRecord>& recovered,
+                                        RecoveryClientStats& stats) {
+  // The region synced its split edits before the gate, so a write-set whose
+  // every in-region update is among their cells would add nothing. That is
+  // the usual case: apply_slice logs one record per region per slice. A
+  // write-set that reached the region in two slices (a stale route after a
+  // merge) and lost the later record is replayed whole (DESIGN §8.3).
+  std::set<std::tuple<Timestamp, std::string_view, std::string_view>> held;
+  for (const WalRecord& rec : recovered) {
+    for (const Cell& c : rec.cells) held.emplace(rec.commit_ts, c.row, c.column);
+  }
+  std::vector<WriteSet> out;
+  for (const auto& ws : writesets) {
+    // Original timestamp, never a fresh one; only the updates in region r.
+    WriteSet in_region{ws.txn_id, ws.client_id, ws.commit_ts, ws.table, {}};
+    bool all_held = true;
+    for (const auto& m : ws.mutations) {
+      if (ws.table != region.table || !region.contains(m.row)) {
+        ++stats.mutations_skipped;
+        continue;
+      }
+      in_region.mutations.push_back(m);
+      all_held = all_held && held.count({ws.commit_ts, m.row, m.column}) != 0;
+    }
+    if (in_region.mutations.empty()) continue;
+    if (all_held) {
+      ++stats.region_writesets_deduped;
+      continue;
+    }
+    out.push_back(std::move(in_region));
+  }
+  return out;
+}
 
 RecoveryManager::RecoveryManager(Coord& coord, TxnManager& tm, Master& master,
                                  RecoveryManagerConfig config)
@@ -75,7 +122,7 @@ void RecoveryManager::recover_state() {
     pending_regions_.clear();
     const std::size_t region_prefix = std::string(kRecoveringRegionPrefix).size();
     for (const auto& [path, tpr] : coord_->list(kRecoveringRegionPrefix)) {
-      pending_regions_[path.substr(region_prefix)] = PendingRegion{"?", tpr};
+      pending_regions_[path.substr(region_prefix)] = PendingRegion{tpr};
     }
     const std::size_t epoch_prefix = std::string(kRecoveringEpochPrefix).size();
     for (const auto& [path, epoch] : coord_->list(kRecoveringEpochPrefix)) {
@@ -259,12 +306,18 @@ void RecoveryManager::recover_client(const std::string& client_id, Timestamp tfr
   // replaying them is idempotent.
   const auto writesets =
       tm_->log().fetch_client_after(client_id, config_.ignore_thresholds ? kNoTimestamp : tfr);
-  if (Status s = recovery_client_.replay_for_client(writesets); !s.is_ok()) {
+  const Status replayed = recovery_client_.flush_writesets(writesets, nullptr, std::nullopt,
+                                                          /*recovery_replay=*/true);
+  if (!replayed.is_ok()) {
     TFR_LOG(ERROR, "rm") << "client replay of " << writesets.size()
-                         << " write-sets failed: " << s;
+                         << " write-sets failed: " << replayed;
   }
   {
     MutexLock lock(mutex_);
+    if (replayed.is_ok()) {
+      replay_stats_.client_writesets_replayed += static_cast<std::int64_t>(writesets.size());
+      replay_stats_.mutations_replayed += count_mutations(writesets);
+    }
     stats_.writesets_replayed_client += static_cast<std::int64_t>(writesets.size());
     client_recovery_floor_.erase(client_id);
     coord_->erase(kRecoveringClientPrefix + client_id);
@@ -334,14 +387,13 @@ void RecoveryManager::on_server_failure(const std::string& server_id,
     // insist the replay target holds at least this fenced grant.
     const std::uint64_t fenced = master_->region_epoch(r);
     auto [it, inserted] =
-        pending_regions_.try_emplace(r, PendingRegion{server_id, tpr, fenced});
+        pending_regions_.try_emplace(r, PendingRegion{tpr, fenced});
     if (!inserted) {
       // Cascade: the region was still mid-recovery from an earlier failure
       // when its new owner died too. Inherit the stricter replay bound —
       // TP(s') := min(TP(s'), TP(s)) (§3.2) — and the newest fence, so the
       // eventual gate replays everything either failure could have lost and
       // rejects any pre-cascade grant.
-      it->second.failed_server = server_id;
       it->second.tpr = std::min(it->second.tpr, tpr);
       it->second.fenced_epoch = std::max(it->second.fenced_epoch, fenced);
     }
@@ -366,7 +418,7 @@ void RecoveryManager::on_regions_replaced(const std::vector<std::string>& parent
   for (const auto& p : parents) {
     auto it = pending_regions_.find(p);
     if (it != pending_regions_.end() && (!inherited || it->second.tpr < inherited->tpr)) {
-      inherited = PendingRegion{it->second.failed_server, it->second.tpr, new_epoch};
+      inherited = PendingRegion{it->second.tpr, new_epoch};
     }
   }
   if (!inherited) return;  // no parent had anything pending
@@ -441,18 +493,25 @@ void RecoveryManager::on_region_recovered(const std::string& region_name,
   // retry round: the target inherits and syncs its WAL once.
   const auto writesets =
       tm_->log().fetch_after(config_.ignore_thresholds ? kNoTimestamp : pending.tpr);
-  std::int64_t replayed = static_cast<std::int64_t>(writesets.size());
-  if (Status s = recovery_client_.replay_for_region(writesets, loc.value().descriptor,
-                                                    pending.tpr, recovered);
-      !s.is_ok()) {
+  RecoveryClientStats counted;
+  const std::vector<WriteSet> replay =
+      filter_for_region(writesets, loc.value().descriptor, recovered, counted);
+  const Status replayed = recovery_client_.flush_writesets(replay, nullptr, pending.tpr,
+                                                          /*recovery_replay=*/true);
+  if (!replayed.is_ok()) {
     TFR_LOG(ERROR, "rm") << "region replay of " << writesets.size() << " write-sets into "
-                         << region_name << " failed: " << s;
-    replayed = 0;
+                         << region_name << " failed: " << replayed;
   }
 
   {
     MutexLock lock(mutex_);
-    stats_.writesets_replayed_server += replayed;
+    replay_stats_.mutations_skipped += counted.mutations_skipped;
+    replay_stats_.region_writesets_deduped += counted.region_writesets_deduped;
+    if (replayed.is_ok()) {
+      stats_.writesets_replayed_server += static_cast<std::int64_t>(writesets.size());
+      replay_stats_.region_writesets_replayed += static_cast<std::int64_t>(replay.size());
+      replay_stats_.mutations_replayed += count_mutations(replay);
+    }
     ++stats_.regions_recovered;
     auto it = pending_regions_.find(region_name);
     // Erase only if the entry still matches our snapshot in BOTH the fenced
@@ -487,6 +546,16 @@ void RecoveryManager::on_region_recovered(const std::string& region_name,
 RecoveryManagerStats RecoveryManager::stats() const {
   MutexLock lock(mutex_);
   return stats_;
+}
+
+const RecoveryClientStats RecoveryManager::recovery_client_stats() const {
+  RecoveryClientStats out;
+  {
+    MutexLock lock(mutex_);
+    out = replay_stats_;
+  }
+  out.flush_rpcs = recovery_client_.stats().flush_rpcs;
+  return out;
 }
 
 void RecoveryManager::wait_for_idle() const {

@@ -14,9 +14,19 @@
 //     snapshots; TP is the global checkpoint at which the TM recovery log is
 //     truncated.
 //
+// The RM's replays go through its recovery client cR (§3.1), a KvClient of
+// its own. cR differs from a regular client in three ways: it replays a
+// write-set under its original commit timestamp, never a fresh one (replay
+// is idempotent — same version, same cells); during server recovery it keeps
+// only the updates that fall in the recovering region (Algorithm 4, replay;
+// filter_for_region); and it piggybacks the failed server's TPr(s) on every
+// replayed write-set so the receiving server inherits responsibility for the
+// replayed updates. Each replay is one batched flush_writesets call — one
+// apply frame per target server per retry round.
+//
 // Client failure (session expiry): fetch from the TM log every write-set
-// committed by that client after its last reported TF(c) and replay it via
-// the recovery client. Until the replay completes, TF is floored at TFr(c)
+// committed by that client after its last reported TF(c) and replay it
+// through cR. Until the replay completes, TF is floored at TFr(c)
 // so no server can claim persistence of a transaction that is still being
 // re-flushed.
 //
@@ -34,20 +44,17 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
-#include <vector>
-
 #include <thread>
+#include <vector>
 
 #include "src/common/queue.h"
 #include "src/common/threading.h"
 #include "src/coord/coord.h"
+#include "src/kv/kv_client.h"
 #include "src/kv/master.h"
-#include "src/recovery/recovery_client.h"
 #include "src/txn/txn_manager.h"
 
 namespace tfr {
@@ -74,6 +81,31 @@ struct RecoveryManagerStats {
   /// per child region that min-inherited a parent's floor.
   std::int64_t floor_inheritances = 0;
 };
+
+/// What the recovery client cR replayed.
+struct RecoveryClientStats {
+  std::int64_t client_writesets_replayed = 0;
+  std::int64_t region_writesets_replayed = 0;
+  std::int64_t mutations_replayed = 0;
+  std::int64_t mutations_skipped = 0;  // outside the recovering region
+  /// In-region write-sets not replayed because the region had just applied
+  /// every one of their in-region updates from the split WAL.
+  std::int64_t region_writesets_deduped = 0;
+  std::int64_t flush_rpcs = 0;         // apply frames sent, retries included
+};
+
+/// The region gate's replay set (Algorithm 4, replay): the updates of
+/// `writesets` that fall within `region`, each under its write-set's
+/// original commit timestamp. A write-set with no update in the region is
+/// dropped, and so is one whose every in-region update is a cell of
+/// `recovered`, the split-WAL edits the region applied and synced before
+/// its gate (DESIGN §8.3). Adds the dropped updates to
+/// `stats.mutations_skipped` and the dropped write-sets to
+/// `stats.region_writesets_deduped`.
+std::vector<WriteSet> filter_for_region(const std::vector<WriteSet>& writesets,
+                                        const RegionDescriptor& region,
+                                        const std::vector<WalRecord>& recovered,
+                                        RecoveryClientStats& stats);
 
 /// Coordination-service paths where the global thresholds are published.
 inline constexpr const char* kTfPath = "/tfr/TF";
@@ -157,7 +189,7 @@ class RecoveryManager : public MasterHooks {
   void refresh_now() { poll_tick(); }
 
   RecoveryManagerStats stats() const;
-  const RecoveryClientStats recovery_client_stats() const { return recovery_client_.stats(); }
+  const RecoveryClientStats recovery_client_stats() const;
 
   /// Block until no client/server recovery is in flight.
   void wait_for_idle() const;
@@ -178,7 +210,7 @@ class RecoveryManager : public MasterHooks {
   TxnManager* tm_;
   Master* master_;
   RecoveryManagerConfig config_;
-  RecoveryClient recovery_client_;
+  KvClient recovery_client_;  // cR
 
   mutable RankedMutex<LockRank::kRecoveryManager> mutex_{"recovery_manager"};
   mutable CondVar idle_cv_;
@@ -199,7 +231,6 @@ class RecoveryManager : public MasterHooks {
   /// global TP at its TPr(s) until the replay completes, and is mirrored
   /// durably under kRecoveringRegionPrefix so an RM restart resumes it.
   struct PendingRegion {
-    std::string failed_server;  // informational; "?" after an RM restart
     Timestamp tpr = kNoTimestamp;
     /// Epoch the master fenced the region at when handling the failure
     /// (0 = unknown, e.g. markers written before fencing existed).
@@ -217,6 +248,7 @@ class RecoveryManager : public MasterHooks {
   std::set<std::string> failed_servers_ TFR_GUARDED_BY(mutex_);
 
   RecoveryManagerStats stats_ TFR_GUARDED_BY(mutex_);
+  RecoveryClientStats replay_stats_ TFR_GUARDED_BY(mutex_);  // flush_rpcs is cR's own
   PeriodicTask poller_;
   bool started_ = false;
   int client_listener_id_ = 0;

@@ -159,10 +159,14 @@ void TxnLog::appender_loop(Lane& lane) {
   }
 }
 
-std::vector<WriteSet> TxnLog::fetch_after(Timestamp after_ts) const {
+std::vector<WriteSet> TxnLog::fetch_after(Timestamp after_ts,
+                                          std::optional<std::string_view> client_id) const {
   MutexLock lock(mutex_);
   const Timestamp after = std::max(after_ts, floor_);
   std::vector<WriteSet> out;
+  // Client routing pins every record of a client to one lane, but a client
+  // fetch stays agnostic to the routing function and scans all lanes'
+  // indexes — the skip-by-index bound is what matters.
   for (const auto& lane : lanes_) {
     // Binary-search the segment index: index_ts is the monotone running max
     // per lane, so every segment before the partition point holds only
@@ -172,30 +176,7 @@ std::vector<WriteSet> TxnLog::fetch_after(Timestamp after_ts) const {
         [after](const Segment& seg) { return seg.index_ts <= after; });
     for (auto seg = first; seg != lane->segments.end(); ++seg) {
       for (auto it = seg->records.upper_bound(after); it != seg->records.end(); ++it) {
-        out.push_back(it->second);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WriteSet& a, const WriteSet& b) { return a.commit_ts < b.commit_ts; });
-  return out;
-}
-
-std::vector<WriteSet> TxnLog::fetch_client_after(const std::string& client_id,
-                                                 Timestamp after_ts) const {
-  MutexLock lock(mutex_);
-  const Timestamp after = std::max(after_ts, floor_);
-  std::vector<WriteSet> out;
-  // Client routing pins every record of `client_id` to one lane, but stay
-  // agnostic to the routing function and scan all lanes' indexes — the
-  // skip-by-index bound is what matters.
-  for (const auto& lane : lanes_) {
-    const auto first = std::partition_point(
-        lane->segments.begin(), lane->segments.end(),
-        [after](const Segment& seg) { return seg.index_ts <= after; });
-    for (auto seg = first; seg != lane->segments.end(); ++seg) {
-      for (auto it = seg->records.upper_bound(after); it != seg->records.end(); ++it) {
-        if (it->second.client_id == client_id) out.push_back(it->second);
+        if (!client_id || it->second.client_id == *client_id) out.push_back(it->second);
       }
     }
   }

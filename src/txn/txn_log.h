@@ -53,6 +53,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -110,13 +111,17 @@ class TxnLog {
   TFR_BLOCKING Status append(WriteSet ws);
 
   /// All durable write-sets with commit_ts > after_ts (and above the
-  /// truncation floor), in commit order.
-  std::vector<WriteSet> fetch_after(Timestamp after_ts) const;
+  /// truncation floor), in commit order; with `client_id`, only that
+  /// client's.
+  std::vector<WriteSet> fetch_after(Timestamp after_ts,
+                                    std::optional<std::string_view> client_id = {}) const;
 
   /// The durable write-sets committed by `client_id` after `after_ts`
   /// (Algorithm 2: fetchlogs(c, TF(c))).
   std::vector<WriteSet> fetch_client_after(const std::string& client_id,
-                                           Timestamp after_ts) const;
+                                           Timestamp after_ts) const {
+    return fetch_after(after_ts, client_id);
+  }
 
   /// Checkpoint: logically drop every record with commit_ts <= up_to. Safe
   /// once the global persist threshold TP has passed them. Physical

@@ -13,7 +13,7 @@
 #include "src/common/metrics.h"
 #include "src/common/random.h"
 #include "src/kv/kv_client.h"
-#include "src/recovery/recovery_client.h"
+#include "src/recovery/recovery_manager.h"
 #include "src/testbed/testbed.h"
 #include "tests/integration/soak.h"
 

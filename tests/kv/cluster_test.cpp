@@ -147,5 +147,36 @@ TEST(ClusterTest, CleanShutdownReassignsWithoutDataLoss) {
   EXPECT_EQ(client.get("t", "zebra", "c", 10).value()->value, "v5");
 }
 
+TEST(ClusterTest, StopReleasesAFailureHandlerHeldForHooks) {
+  // Hooks installed once and then detached, as in a recovery manager's
+  // restart window: a crash's handler waits for hooks before it fences.
+  // stop() must release that handler and wait for it, and a failure claimed
+  // after stop() starts no handler, so wait_for_idle still returns.
+  struct NoopHooks : MasterHooks {
+    void on_server_failure(const std::string&, const std::vector<std::string>&) override {}
+  } hooks;
+  Cluster cluster(fast_cluster(2));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
+  std::string victim_region;
+  for (const auto& r : cluster.master().table_regions("t")) {
+    if (r.server_id == cluster.server(0).id()) victim_region = r.region_name;
+  }
+  ASSERT_FALSE(victim_region.empty());
+  cluster.master().set_hooks(&hooks);
+  cluster.master().set_hooks(nullptr);
+
+  cluster.crash_server(0);
+  cluster.master().report_server_down(cluster.server(0).id(), /*crashed=*/true);
+  sleep_millis(20);
+  EXPECT_EQ(cluster.master().region_epoch(victim_region), 1u) << "fenced without hooks";
+  cluster.master().stop();
+  cluster.master().wait_for_idle();
+  EXPECT_GT(cluster.master().region_epoch(victim_region), 1u) << "the held handler never ran";
+
+  cluster.master().report_server_down(cluster.server(1).id(), /*crashed=*/false);
+  cluster.master().wait_for_idle();
+}
+
 }  // namespace
 }  // namespace tfr

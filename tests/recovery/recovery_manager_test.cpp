@@ -6,7 +6,6 @@
 
 #include "src/common/fault.h"
 #include "src/kv/kv_client.h"
-#include "src/recovery/recovery_client.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -196,19 +195,24 @@ TEST_F(RecoveryManagerTest, ProcessingContinuesWhileRmIsDown) {
 }
 
 TEST_F(RecoveryManagerTest, RegionReplaySkipsOnlyWriteSetsTheSplitEditsFullyHold) {
-  // Both write-sets fall in the table's first region. The split edits hold
-  // the first whole, but only one of the second's two rows, as when a
-  // write-set reached the region in two slices and the later record was
-  // lost. Only the second is replayed, and whole.
-  RecoveryClient replayer(bed_.master());
+  // Both write-sets touch the table's first region. The split edits hold
+  // the first whole, but only one of the second's two in-region rows, as
+  // when a write-set reached the region in two slices and the later record
+  // was lost. The second also writes a row of another region. The gate's
+  // filter replays only the second, whole within the region and without
+  // its out-of-region update.
   const std::string a = Testbed::row_key(1), b = Testbed::row_key(2), c = Testbed::row_key(3);
+  const std::string outside = Testbed::row_key(999);
   const RegionLocation loc = bed_.master().locate("t", a).value();
   ASSERT_TRUE(loc.descriptor.contains(c));
+  ASSERT_FALSE(loc.descriptor.contains(outside));
   constexpr Timestamp kT1 = 1'000'001;
   constexpr Timestamp kT2 = 1'000'002;
   const std::vector<WriteSet> writesets = {
       WriteSet{1, "c0", kT1, "t", {Mutation{a, "c", "one", false}}},
-      WriteSet{2, "c0", kT2, "t", {Mutation{b, "c", "two", false}, Mutation{c, "c", "two", false}}}};
+      WriteSet{2, "c0", kT2, "t",
+               {Mutation{b, "c", "two", false}, Mutation{c, "c", "two", false},
+                Mutation{outside, "c", "two", false}}}};
   std::vector<WalRecord> recovered(2);
   recovered[0].region = recovered[1].region = loc.region_name;
   recovered[0].commit_ts = kT1;
@@ -216,16 +220,25 @@ TEST_F(RecoveryManagerTest, RegionReplaySkipsOnlyWriteSetsTheSplitEditsFullyHold
   recovered[1].commit_ts = kT2;
   recovered[1].cells = {Cell{b, "c", "two", kT2, false}};
 
-  ASSERT_TRUE(replayer.replay_for_region(writesets, loc.descriptor, bed_.rm().global_tp(),
-                                         recovered).is_ok());
-  const RecoveryClientStats stats = replayer.stats();
+  RecoveryClientStats stats;
+  const std::vector<WriteSet> replay =
+      filter_for_region(writesets, loc.descriptor, recovered, stats);
+  EXPECT_EQ(stats.mutations_skipped, 1);
   EXPECT_EQ(stats.region_writesets_deduped, 1);
-  EXPECT_EQ(stats.region_writesets_replayed, 1);
-  EXPECT_EQ(stats.mutations_replayed, 2);
+  ASSERT_EQ(replay.size(), 1u);
+  EXPECT_EQ(replay[0].commit_ts, kT2);
+  EXPECT_EQ(replay[0].mutations.size(), 2u);
+
+  KvClient replayer(bed_.master());
+  ASSERT_TRUE(replayer.flush_writesets(replay, nullptr, bed_.rm().global_tp(),
+                                       /*recovery_replay=*/true).is_ok());
   KvClient reader(bed_.master());
   auto dropped = reader.get("t", a, "c", kT2);
   ASSERT_TRUE(dropped.is_ok());
   EXPECT_FALSE(dropped.value().has_value()) << "a write-set the split held was replayed";
+  auto skipped = reader.get("t", outside, "c", kT2);
+  ASSERT_TRUE(skipped.is_ok());
+  EXPECT_FALSE(skipped.value().has_value()) << "an update outside the region was replayed";
   auto missing = reader.get("t", c, "c", kT2);
   ASSERT_TRUE(missing.is_ok());
   ASSERT_TRUE(missing.value().has_value()) << "the partly held write-set was not replayed";
