@@ -58,7 +58,7 @@ Outcome run_once(double tps, Micros heartbeat) {
     std::exit(1);
   }
   bed.wait_for_recovery();
-  out.replayed = bed.rm().stats().writesets_replayed_client;
+  out.replayed = bed.rm().recovery_client_stats().client_writesets_replayed;
   return out;
 }
 

@@ -110,7 +110,7 @@ RANKS = [
      "waiting on the primitive's own CondVar is fine; foreign blocking is not"),
     ("kLatencyModel", 30, "latency_rng", False, "latency model", "leaf",
      "an RNG draw; the charged sleep happens after release"),
-    ("kMetrics", 20, "counter_registry", False, "metrics", "leaf",
+    ("kMetrics", 20, "metric_registry", False, "metrics", "leaf",
      "registry lookup on first use only"),
     ("kLogging", 10, "log_emit", False, "logging", "leaf",
      "innermost: one formatted write; callable while holding anything"),

@@ -20,7 +20,9 @@
 #         justification and is greppable;
 #       - no runtime-ranked tfr::Mutex declarations in src/ — mutexes
 #         declare their rank in the type (RankedMutex<LockRank::kX>) so the
-#         compile-time ordering check sees them.
+#         compile-time ordering check sees them;
+#       - no metric name built by concatenation in src/ — a name per region
+#         or per server adds a registry entry that is never erased.
 #
 # Registered with ctest as the `lint` test; also reachable as
 # `scripts/check.sh lint`.
@@ -132,6 +134,18 @@ viol=$(grep -rn --include='*.h' --include='*.cpp' -E \
 if [ -n "$viol" ]; then
   echo "lint: runtime-ranked Mutex declaration in src/ — declare the rank in the" >&2
   echo "      type instead: RankedMutex<LockRank::kX> name{\"doc-name\"};" >&2
+  echo "$viol" >&2
+  fail=1
+fi
+
+# Metric names are fixed strings. A `global_counter("a." + id)` call makes one
+# process-wide entry per id ever seen; per-object counts belong in the
+# object's own stats().
+viol=$(grep -rn --include='*.h' --include='*.cpp' -E \
+  'global_(counter|gauge|histogram)\([^)]*(\+|to_string)' src/ || true)
+if [ -n "$viol" ]; then
+  echo "lint: metric name built by concatenation in src/ — name metrics with a" >&2
+  echo "      fixed string and keep per-object counts in the object's stats():" >&2
   echo "$viol" >&2
   fail=1
 fi

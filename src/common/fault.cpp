@@ -1,7 +1,6 @@
 #include "src/common/fault.h"
 
 #include "src/common/logging.h"
-#include "src/common/metrics.h"
 
 namespace tfr {
 
@@ -55,13 +54,6 @@ void FaultInjector::clear_rules() {
   if (partitions_.empty()) enabled_.store(false, std::memory_order_release);
 }
 
-namespace {
-Counter& partitions_active_gauge() {
-  static Counter& g = global_counter("fault.partitions_active");
-  return g;
-}
-}  // namespace
-
 int FaultInjector::add_partition(PartitionRule rule) {
   int id;
   {
@@ -69,62 +61,46 @@ int FaultInjector::add_partition(PartitionRule rule) {
     id = next_partition_id_++;
     partitions_.emplace_back(id, std::move(rule));
   }
-  partitions_active_gauge().add(1);
   set_enabled(true);
   return id;
 }
 
 void FaultInjector::heal_partition(int id) {
-  bool healed = false;
-  {
-    MutexLock lock(mutex_);
-    for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
-      if (it->first == id) {
-        partitions_.erase(it);
-        healed = true;
-        break;
-      }
-    }
-    if (partitions_.empty() && rules_.empty()) {
-      enabled_.store(false, std::memory_order_release);
+  MutexLock lock(mutex_);
+  for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
+    if (it->first == id) {
+      partitions_.erase(it);
+      break;
     }
   }
-  if (healed) partitions_active_gauge().add(-1);
+  if (partitions_.empty() && rules_.empty()) enabled_.store(false, std::memory_order_release);
 }
 
 void FaultInjector::clear_partitions() {
-  std::size_t healed;
-  {
-    MutexLock lock(mutex_);
-    healed = partitions_.size();
-    partitions_.clear();
-    if (rules_.empty()) enabled_.store(false, std::memory_order_release);
-  }
-  if (healed > 0) partitions_active_gauge().add(-static_cast<std::int64_t>(healed));
+  MutexLock lock(mutex_);
+  partitions_.clear();
+  if (rules_.empty()) enabled_.store(false, std::memory_order_release);
+}
+
+std::size_t FaultInjector::partitions_active() const {
+  MutexLock lock(mutex_);
+  return partitions_.size();
 }
 
 bool FaultInjector::partitioned(std::string_view from, std::string_view to) {
   if (!enabled()) return false;
-  bool blocked = false;
-  {
-    MutexLock lock(mutex_);
-    for (const auto& [id, rule] : partitions_) {
-      (void)id;
-      const bool forward = target_matches(rule.src, from) && target_matches(rule.dst, to);
-      const bool reverse =
-          rule.symmetric && target_matches(rule.src, to) && target_matches(rule.dst, from);
-      if (forward || reverse) {
-        blocked = true;
-        break;
-      }
+  MutexLock lock(mutex_);
+  for (const auto& [id, rule] : partitions_) {
+    (void)id;
+    const bool forward = target_matches(rule.src, from) && target_matches(rule.dst, to);
+    const bool reverse =
+        rule.symmetric && target_matches(rule.src, to) && target_matches(rule.dst, from);
+    if (forward || reverse) {
+      ++stats_.partition_drops;
+      return true;
     }
-    if (blocked) ++stats_.partition_drops;
   }
-  if (blocked) {
-    static Counter& drops = global_counter("fault.partition_drops");
-    drops.add();
-  }
-  return blocked;
+  return false;
 }
 
 Status FaultInjector::check_partition(FaultOp op, std::string_view from, std::string_view to) {
@@ -171,19 +147,7 @@ FaultAction FaultInjector::inject(FaultOp op, std::string_view target) {
       stats_.delay_micros += action.delayed;
     }
   }
-  // Mirror into the process-wide counters (static refs: one registry lookup
-  // per process, then a relaxed atomic add).
-  static Counter& errors = global_counter("fault.injected_errors");
-  static Counter& drops = global_counter("fault.dropped_responses");
-  static Counter& corruptions = global_counter("fault.corrupted_wires");
-  static Counter& delays = global_counter("fault.injected_delays");
-  if (action.fail) errors.add();
-  if (action.drop_response) drops.add();
-  if (action.corrupt_wire) corruptions.add();
-  if (action.delayed > 0) {
-    delays.add();
-    sleep_micros(action.delayed);  // the injected latency, outside the lock
-  }
+  if (action.delayed > 0) sleep_micros(action.delayed);  // outside the lock
   return action;
 }
 

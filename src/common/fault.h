@@ -17,9 +17,8 @@
 //  * Disabled-path cost is one relaxed atomic load; with no injector
 //    installed the boundaries pay a single branch on a plain pointer. The
 //    default path through benches is therefore unchanged.
-//  * Everything injected is counted, both locally (stats()) and in the
-//    process-wide metrics registry ("fault.*" counters), so tests can assert
-//    that a schedule actually exercised the paths it meant to.
+//  * Everything injected is counted in stats(), so tests can assert that a
+//    schedule actually exercised the paths it meant to.
 #pragma once
 
 #include <atomic>
@@ -137,14 +136,18 @@ class FaultInjector {
   void clear_rules();
 
   /// Install a partition and enable the injector. Returns a partition id
-  /// for heal_partition(). Mirrors into the "fault.partitions_active" gauge.
+  /// for heal_partition().
   int add_partition(PartitionRule rule);
 
-  /// Heal one partition by id (returned from add_partition).
+  /// Heal one partition by id (returned from add_partition); healing an id
+  /// twice is a no-op.
   void heal_partition(int id);
 
   /// Heal every partition.
   void clear_partitions();
+
+  /// Partitions installed and not yet healed.
+  std::size_t partitions_active() const;
 
   /// True iff a partition rule currently blocks `from` -> `to` traffic.
   /// Deterministic — no PRNG draw, so it never perturbs the seeded

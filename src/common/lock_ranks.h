@@ -46,7 +46,7 @@ enum class LockRank : int {
   kClientRouting = 45,      // kv_client.routes: client routing-table cache (§2.1)
   kThreadingInternal = 40,  // periodic_task, semaphore, countdown_latch: heartbeats, handler pools
   kLatencyModel = 30,       // latency_rng: latency model
-  kMetrics = 20,            // counter_registry: metrics
+  kMetrics = 20,            // metric_registry: metrics
   kLogging = 10,            // log_emit: logging
   kLeaf = 40,               // default for ad-hoc mutexes: nest under anything
 };
@@ -80,7 +80,7 @@ inline constexpr LockRankInfo kLockRankTable[] = {
     {"kv_client.routes", 45, false},
     {"periodic_task, semaphore, countdown_latch", 40, false},
     {"latency_rng", 30, false},
-    {"counter_registry", 20, false},
+    {"metric_registry", 20, false},
     {"log_emit", 10, false},
 };
 

@@ -11,106 +11,72 @@
 namespace tfr {
 
 namespace {
-struct CounterRegistry {
-  RankedMutex<LockRank::kMetrics> mutex{"counter_registry"};
-  // unique_ptr gives each Counter a stable address across rehashing.
-  std::map<std::string, std::unique_ptr<Counter>> counters TFR_GUARDED_BY(mutex);
+// One name-sorted map of metrics of type T. unique_ptr gives each metric a
+// stable address across inserts; the registries are leaked so they outlive
+// every static reference into them.
+template <typename T>
+class Registry {
+ public:
+  T& get(const std::string& name) {
+    MutexLock lock(mutex_);
+    auto& slot = metrics_[name];
+    if (!slot) slot = std::make_unique<T>();
+    return *slot;
+  }
+
+  /// (name, read(metric)) for every metric, sorted by name.
+  template <typename Read>
+  auto snapshot(Read read) {
+    MutexLock lock(mutex_);
+    std::vector<std::pair<std::string, decltype(read(std::declval<T&>()))>> out;
+    out.reserve(metrics_.size());
+    for (const auto& [name, metric] : metrics_) out.emplace_back(name, read(*metric));
+    return out;
+  }
+
+  void reset() {
+    MutexLock lock(mutex_);
+    for (auto& [name, metric] : metrics_) metric->reset();
+  }
+
+ private:
+  RankedMutex<LockRank::kMetrics> mutex_{"metric_registry"};
+  std::map<std::string, std::unique_ptr<T>> metrics_ TFR_GUARDED_BY(mutex_);
 };
 
-CounterRegistry& registry() {
-  static CounterRegistry* r = new CounterRegistry();  // leaked: outlives all users
+Registry<Counter>& counters() {
+  static auto* r = new Registry<Counter>();
+  return *r;
+}
+Registry<Counter>& gauges() {
+  static auto* r = new Registry<Counter>();
+  return *r;
+}
+Registry<Histogram>& histograms() {
+  static auto* r = new Registry<Histogram>();
   return *r;
 }
 
-struct HistogramRegistry {
-  RankedMutex<LockRank::kMetrics> mutex{"histogram_registry"};
-  std::map<std::string, std::unique_ptr<Histogram>> histograms TFR_GUARDED_BY(mutex);
-};
-
-HistogramRegistry& histogram_registry() {
-  static HistogramRegistry* r = new HistogramRegistry();  // leaked: outlives all users
-  return *r;
-}
-
-struct GaugeRegistry {
-  RankedMutex<LockRank::kMetrics> mutex{"gauge_registry"};
-  std::map<std::string, std::unique_ptr<Gauge>> gauges TFR_GUARDED_BY(mutex);
-};
-
-GaugeRegistry& gauge_registry() {
-  static GaugeRegistry* r = new GaugeRegistry();  // leaked: outlives all users
-  return *r;
-}
+std::int64_t value_of(const Counter& c) { return c.get(); }
 }  // namespace
 
-Counter& global_counter(const std::string& name) {
-  CounterRegistry& r = registry();
-  MutexLock lock(r.mutex);
-  auto& slot = r.counters[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
+Counter& global_counter(const std::string& name) { return counters().get(name); }
 std::vector<std::pair<std::string, std::int64_t>> global_counter_snapshot() {
-  CounterRegistry& r = registry();
-  MutexLock lock(r.mutex);
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(r.counters.size());
-  for (const auto& [name, counter] : r.counters) out.emplace_back(name, counter->get());
-  return out;
+  return counters().snapshot(value_of);
 }
+void reset_global_counters() { counters().reset(); }
 
-void reset_global_counters() {
-  CounterRegistry& r = registry();
-  MutexLock lock(r.mutex);
-  for (auto& [name, counter] : r.counters) counter->reset();
-}
-
-Histogram& global_histogram(const std::string& name) {
-  HistogramRegistry& r = histogram_registry();
-  MutexLock lock(r.mutex);
-  auto& slot = r.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
-std::vector<std::pair<std::string, const Histogram*>> global_histogram_snapshot() {
-  HistogramRegistry& r = histogram_registry();
-  MutexLock lock(r.mutex);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(r.histograms.size());
-  for (const auto& [name, h] : r.histograms) out.emplace_back(name, h.get());
-  return out;
-}
-
-void reset_global_histograms() {
-  HistogramRegistry& r = histogram_registry();
-  MutexLock lock(r.mutex);
-  for (auto& [name, h] : r.histograms) h->reset();
-}
-
-Gauge& global_gauge(const std::string& name) {
-  GaugeRegistry& r = gauge_registry();
-  MutexLock lock(r.mutex);
-  auto& slot = r.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
+Counter& global_gauge(const std::string& name) { return gauges().get(name); }
 std::vector<std::pair<std::string, std::int64_t>> global_gauge_snapshot() {
-  GaugeRegistry& r = gauge_registry();
-  MutexLock lock(r.mutex);
-  std::vector<std::pair<std::string, std::int64_t>> out;
-  out.reserve(r.gauges.size());
-  for (const auto& [name, g] : r.gauges) out.emplace_back(name, g->get());
-  return out;
+  return gauges().snapshot(value_of);
 }
+void reset_global_gauges() { gauges().reset(); }
 
-void reset_global_gauges() {
-  GaugeRegistry& r = gauge_registry();
-  MutexLock lock(r.mutex);
-  for (auto& [name, g] : r.gauges) g->set(0);
+Histogram& global_histogram(const std::string& name) { return histograms().get(name); }
+std::vector<std::pair<std::string, const Histogram*>> global_histogram_snapshot() {
+  return histograms().snapshot([](const Histogram& h) { return &h; });
 }
+void reset_global_histograms() { histograms().reset(); }
 
 Histogram::Histogram() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);

@@ -1,7 +1,7 @@
 // Measurement primitives for the benchmark harness and tests:
 //   Histogram           — latency distribution with percentile queries
 //   TimeSeriesRecorder  — per-interval throughput / mean-latency series
-//   Counter             — monotonically increasing named counter
+//   Counter             — named count or level, one relaxed atomic
 #pragma once
 
 #include <atomic>
@@ -91,27 +91,15 @@ class TimeSeriesRecorder {
                                                 millis(20), millis(50), millis(100), millis(500)};
 };
 
-/// Simple named counter (for tracking bytes sent, replays, ...). Every
-/// operation is one relaxed atomic.
+/// Named integer metric: a monotonic count (add) or a level that moves both
+/// ways (set, add with a negative delta). Every operation is one relaxed
+/// atomic.
 class Counter {
  public:
   void add(std::int64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  std::int64_t get() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
-/// Last-value gauge for level metrics that move in both directions (segment
-/// counts, retained log records) and therefore cannot be a Counter. Writers
-/// publish with set()/add(); readers sample with get(). All operations are
-/// single relaxed atomics — cheap enough for per-GC-pass updates.
-class Gauge {
- public:
   void set(std::int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void add(std::int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   std::int64_t get() const { return value_.load(std::memory_order_relaxed); }
+  void reset() { set(0); }
 
  private:
   std::atomic<std::int64_t> value_{0};
@@ -119,12 +107,15 @@ class Gauge {
 
 // --- process-wide counter registry -------------------------------------------
 //
-// Fault injection and the client retry paths export their counts here so
-// tests and benches can assert on them without plumbing stats objects
-// through every layer. Counters are created on first use and their
-// addresses are stable for the life of the process, so hot paths can cache
-// the reference (`static Counter& c = global_counter("...")`) and pay only
-// a relaxed atomic add per event.
+// Events that no object counts in its own stats() (the client routing and
+// retry paths, the master's takeovers, WAL fencing) are counted here, so
+// tests and benches can assert on them without plumbing stats objects through
+// every layer. Each event is counted in one place: here or in a stats().
+// Metrics are created on first use and their addresses are stable for the
+// life of the process, so hot paths can cache the reference
+// (`static Counter& c = global_counter("...")`) and pay only a relaxed atomic
+// add per event. Names are fixed strings: a name built per object would grow
+// the registry without bound.
 
 /// The counter registered under `name`, created on first use. Thread-safe.
 Counter& global_counter(const std::string& name);
@@ -148,11 +139,11 @@ std::vector<std::pair<std::string, const Histogram*>> global_histogram_snapshot(
 /// Reset every registered histogram (tests/benches isolate with this).
 void reset_global_histograms();
 
-/// The gauge registered under `name`, created on first use. Same
-/// stable-address contract as global_counter(). Used for level metrics the
-/// log GC exports (`log.segments`, `log.retained_txns`) and the master's
-/// last-recovery phase timings.
-Gauge& global_gauge(const std::string& name);
+/// The gauge registered under `name`, created on first use: a Counter used
+/// for a level, in a registry of its own, so one name can be both a counter
+/// and a gauge. Same stable-address contract as global_counter(). Used for
+/// the master's last-recovery phase timings.
+Counter& global_gauge(const std::string& name);
 
 /// (name, value) for every registered gauge, sorted by name.
 std::vector<std::pair<std::string, std::int64_t>> global_gauge_snapshot();

@@ -1,34 +1,6 @@
 #include "src/kv/block_cache.h"
 
-#include "src/common/metrics.h"
-
 namespace tfr {
-
-namespace {
-// Process-wide gauges, shared by every cache instance (one per region
-// server): soaks and benches read the fleet-wide hit rate here. bytes is
-// maintained with +/- deltas so it tracks the current resident size.
-Counter& cache_hits() {
-  static Counter& c = global_counter("kv.cache.hits");
-  return c;
-}
-Counter& cache_misses() {
-  static Counter& c = global_counter("kv.cache.misses");
-  return c;
-}
-Counter& cache_evictions() {
-  static Counter& c = global_counter("kv.cache.evictions");
-  return c;
-}
-Counter& cache_bytes() {
-  static Counter& c = global_counter("kv.cache.bytes");
-  return c;
-}
-Counter& cache_single_flight_waits() {
-  static Counter& c = global_counter("kv.cache.single_flight_waits");
-  return c;
-}
-}  // namespace
 
 Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
                                          const std::function<Result<BlockPtr>()>& loader) {
@@ -39,7 +11,6 @@ Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
       if (it != map_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         ++stats_.hits;
-        cache_hits().add();
         return it->second.block;
       }
       if (loading_.count(key) == 0) break;  // we become the loader
@@ -47,12 +18,10 @@ Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
       // successful load we hit in the map; on a failed load the loading
       // marker is gone and we take over as the loader.
       ++stats_.single_flight_waits;
-      cache_single_flight_waits().add();
       load_done_.wait(lock);
     }
     loading_.insert(key);
     ++stats_.misses;
-    cache_misses().add();
   }
 
   // Load outside the lock: the DFS read latency must not serialize the
@@ -74,7 +43,6 @@ Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
   lru_.push_front(key);
   map_[key] = Entry{block, lru_.begin()};
   stats_.bytes += static_cast<std::int64_t>(block->byte_size);
-  cache_bytes().add(static_cast<std::int64_t>(block->byte_size));
   evict_to_fit();
   return block;
 }
@@ -84,10 +52,8 @@ void BlockCache::evict_to_fit() {
     auto it = map_.find(lru_.back());
     if (it != map_.end()) {
       stats_.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
-      cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
       map_.erase(it);
       ++stats_.evictions;
-      cache_evictions().add();
     }
     lru_.pop_back();
   }
@@ -99,7 +65,6 @@ void BlockCache::invalidate_prefix(const std::string& prefix) {
   for (auto it = map_.begin(); it != map_.end();) {
     if (it->first.compare(0, prefix.size(), prefix) == 0) {
       stats_.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
-      cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
       lru_.erase(it->second.lru_it);
       dropped.push_back(std::move(it->second.block));
       it = map_.erase(it);
@@ -111,7 +76,6 @@ void BlockCache::invalidate_prefix(const std::string& prefix) {
 
 void BlockCache::clear() {
   MutexLock lock(mutex_);
-  cache_bytes().add(-stats_.bytes);
   map_.clear();
   lru_.clear();
   stats_.bytes = 0;

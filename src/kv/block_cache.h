@@ -13,9 +13,8 @@
 // of stampeding the DFS with duplicate reads. A failed load wakes the
 // waiters and the next one retries as the new loader.
 //
-// Event counts are published both per-cache (stats()) and process-wide
-// under kv.cache.{hits,misses,evictions,bytes} in the global metrics
-// registry, so soaks and benches can watch hit rates without plumbing.
+// Event counts live in the cache (stats()); a fleet-wide hit rate is the sum
+// over the servers' caches.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,6 @@ Result<RegionLocation> KvClient::locate(const std::string& table, const std::str
       if (it != tit->second.begin()) {
         --it;
         if (it->second.descriptor.contains(row)) {
-          route_hits_.fetch_add(1, std::memory_order_relaxed);
           static Counter& hits = global_counter("kv.route_hits");
           hits.add();
           return it->second;
@@ -32,7 +31,6 @@ Result<RegionLocation> KvClient::locate(const std::string& table, const std::str
   // Miss: ask the master with the routing lock released.
   auto loc = master_->locate(table, row);
   if (loc.is_ok()) {
-    route_misses_.fetch_add(1, std::memory_order_relaxed);
     static Counter& misses = global_counter("kv.route_misses");
     misses.add();
     MutexLock lock(routes_mutex_);
@@ -59,7 +57,6 @@ void KvClient::invalidate_route(const std::string& table, const std::string& row
   --it;
   if (!it->second.descriptor.contains(row)) return;
   tit->second.erase(it);
-  route_invalidations_.fetch_add(1, std::memory_order_relaxed);
   static Counter& invalidations = global_counter("kv.route_invalidations");
   invalidations.add();
 }
@@ -181,7 +178,6 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
       return Status::unavailable("flush retries exhausted for a batch of " +
                                  std::to_string(batch.size()) + " write-sets");
     }
-    flush_retries_.fetch_add(1, std::memory_order_relaxed);
     static Counter& retries = global_counter("kv.flush_retries");
     retries.add();
     if (backoff.attempts() > 0 && backoff.attempts() % 200 == 0) {
@@ -218,7 +214,6 @@ Result<std::optional<Cell>> KvClient::get(const std::string& table, const std::s
     if (max_retries != 0 && attempt >= max_retries) {
       return Status::unavailable("get retries exhausted for " + table + "/" + row);
     }
-    read_retries_.fetch_add(1, std::memory_order_relaxed);
     static Counter& retries = global_counter("kv.read_retries");
     retries.add();
     backoff.sleep();
@@ -230,64 +225,50 @@ Result<std::vector<Cell>> KvClient::scan(const std::string& table, const std::st
                                          std::size_t limit, int max_retries) {
   Backoff backoff(retry_backoff_, retry_backoff_ * 32);
   for (int attempt = 0;; ++attempt) {
-    auto loc = locate(table, start);
-    if (loc.is_ok()) {
-      RegionServer* stub = master_->server_stub(loc.value().server_id);
-      if (stub != nullptr) {
-        // A scan may cross region boundaries; walk regions left to right.
-        std::vector<Cell> out;
-        std::string cursor = start;
-        bool failed = false;
-        std::size_t rows_left = limit;
-        for (;;) {
-          auto cur = locate(table, cursor);
-          if (!cur.is_ok()) {
-            failed = true;
-            break;
-          }
-          RegionServer* s = master_->server_stub(cur.value().server_id);
-          if (s == nullptr) {
-            invalidate_route(table, cursor);
-            failed = true;
-            break;
-          }
-          const std::string region_end = cur.value().descriptor.end_key;
-          const std::string chunk_end =
-              (!end.empty() && (region_end.empty() || end < region_end)) ? end : region_end;
-          auto cells = s->scan(table, cursor, chunk_end, read_ts, rows_left, client_id_);
-          if (!cells.is_ok()) {
-            // A chunk bounced (region split under us, moved, fenced, or its
-            // server crashed): drop the stale route before the outer retry
-            // re-locates.
-            if (cells.status().is_server_down()) master_->suspect_server(cur.value().server_id);
-            invalidate_route(table, cursor);
-            failed = true;
-            break;
-          }
-          // Count distinct rows returned.
-          std::string last_row;
-          std::size_t rows = 0;
-          for (const auto& c : cells.value()) {
-            if (c.row != last_row) {
-              ++rows;
-              last_row = c.row;
-            }
-            out.push_back(c);
-          }
-          if (limit != 0) {
-            if (rows >= rows_left) return out;
-            rows_left -= rows;
-          }
-          if (region_end.empty() || (!end.empty() && region_end >= end)) return out;
-          cursor = region_end;
-        }
-        if (!failed) return out;
+    // A scan may cross region boundaries; walk regions left to right. A
+    // chunk that fails drops its route and restarts the scan after a backoff.
+    std::vector<Cell> out;
+    std::string cursor = start;
+    std::size_t rows_left = limit;
+    for (;;) {
+      auto cur = locate(table, cursor);
+      if (!cur.is_ok()) break;
+      RegionServer* s = master_->server_stub(cur.value().server_id);
+      if (s == nullptr) {
+        invalidate_route(table, cursor);
+        break;
       }
+      const std::string region_end = cur.value().descriptor.end_key;
+      const std::string chunk_end =
+          (!end.empty() && (region_end.empty() || end < region_end)) ? end : region_end;
+      auto cells = s->scan(table, cursor, chunk_end, read_ts, rows_left, client_id_);
+      if (!cells.is_ok()) {
+        // A chunk bounced (region split under us, moved, fenced, or its
+        // server crashed): drop the stale route before the retry re-locates.
+        if (cells.status().is_server_down()) master_->suspect_server(cur.value().server_id);
+        invalidate_route(table, cursor);
+        break;
+      }
+      // Count distinct rows returned.
+      std::string last_row;
+      std::size_t rows = 0;
+      for (const auto& c : cells.value()) {
+        if (c.row != last_row) {
+          ++rows;
+          last_row = c.row;
+        }
+        out.push_back(c);
+      }
+      if (limit != 0) {
+        if (rows >= rows_left) return out;
+        rows_left -= rows;
+      }
+      if (region_end.empty() || (!end.empty() && region_end >= end)) return out;
+      cursor = region_end;
     }
     if (max_retries != 0 && attempt >= max_retries) {
       return Status::unavailable("scan retries exhausted for " + table + "/" + start);
     }
-    read_retries_.fetch_add(1, std::memory_order_relaxed);
     static Counter& retries = global_counter("kv.read_retries");
     retries.add();
     backoff.sleep();
@@ -295,12 +276,7 @@ Result<std::vector<Cell>> KvClient::scan(const std::string& table, const std::st
 }
 
 KvClientStats KvClient::stats() const {
-  return KvClientStats{flush_rpcs_.load(std::memory_order_relaxed),
-                       flush_retries_.load(std::memory_order_relaxed),
-                       read_retries_.load(std::memory_order_relaxed),
-                       route_hits_.load(std::memory_order_relaxed),
-                       route_misses_.load(std::memory_order_relaxed),
-                       route_invalidations_.load(std::memory_order_relaxed)};
+  return KvClientStats{flush_rpcs_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace tfr

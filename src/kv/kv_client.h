@@ -33,13 +33,11 @@
 
 namespace tfr {
 
+/// This client's own traffic. Route hits, misses and invalidations and
+/// flush and read retries are counted process-wide, as the global counters
+/// kv.route_{hits,misses,invalidations} and kv.{flush,read}_retries.
 struct KvClientStats {
-  std::int64_t flush_rpcs = 0;
-  std::int64_t flush_retries = 0;
-  std::int64_t read_retries = 0;
-  std::int64_t route_hits = 0;
-  std::int64_t route_misses = 0;
-  std::int64_t route_invalidations = 0;
+  std::int64_t flush_rpcs = 0;  ///< apply frames sent, retries included
 };
 
 class KvClient {
@@ -98,11 +96,6 @@ class KvClient {
   Micros retry_backoff_;
   std::string client_id_;
   std::atomic<std::int64_t> flush_rpcs_{0};
-  std::atomic<std::int64_t> flush_retries_{0};
-  std::atomic<std::int64_t> read_retries_{0};
-  std::atomic<std::int64_t> route_hits_{0};
-  std::atomic<std::int64_t> route_misses_{0};
-  std::atomic<std::int64_t> route_invalidations_{0};
 
   mutable RankedMutex<LockRank::kClientRouting> routes_mutex_{"kv_client.routes"};
   /// table -> region start_key -> location. Regions of a table never

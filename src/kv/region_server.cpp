@@ -170,18 +170,14 @@ void RegionServer::terminate_self() {
 
 void RegionServer::report_load() {
   // The balancer's load signal, piggybacked on the heartbeat cadence (§9):
-  // one cumulative served-ops figure per server in the coord KV, plus
-  // per-region traffic gauges for observability. The figure is cumulative —
-  // the balancer differences successive reports to get a per-tick rate.
+  // one cumulative served-ops figure per server in the coord KV. The figure
+  // is cumulative — the balancer differences successive reports to get a
+  // per-tick rate; per-region traffic is region_loads().
   std::int64_t total = 0;
   {
     ReaderLock lock(regions_mutex_);
-    for (const auto& [name, r] : regions_) {
-      const auto reads = static_cast<std::int64_t>(r->read_ops());
-      const auto writes = static_cast<std::int64_t>(r->write_ops());
-      total += reads + writes;
-      global_gauge("kv.region." + name + ".reads").set(reads);
-      global_gauge("kv.region." + name + ".writes").set(writes);
+    for (const auto& entry : regions_) {
+      total += static_cast<std::int64_t>(entry.second->read_ops() + entry.second->write_ops());
     }
   }
   coord_->put(kServerLoadPrefix + id_, total);

@@ -318,7 +318,6 @@ void RecoveryManager::recover_client(const std::string& client_id, Timestamp tfr
       replay_stats_.client_writesets_replayed += static_cast<std::int64_t>(writesets.size());
       replay_stats_.mutations_replayed += count_mutations(writesets);
     }
-    stats_.writesets_replayed_client += static_cast<std::int64_t>(writesets.size());
     client_recovery_floor_.erase(client_id);
     coord_->erase(kRecoveringClientPrefix + client_id);
     publish_locked();

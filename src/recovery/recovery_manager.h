@@ -74,7 +74,6 @@ struct RecoveryManagerStats {
   std::int64_t client_recoveries = 0;
   std::int64_t server_recoveries = 0;
   std::int64_t regions_recovered = 0;
-  std::int64_t writesets_replayed_client = 0;
   std::int64_t writesets_replayed_server = 0;
   std::int64_t threshold_refreshes = 0;
   /// Pending replay floors migrated across topology transitions: one count

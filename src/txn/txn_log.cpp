@@ -32,7 +32,6 @@ TxnLog::TxnLog(TxnLogConfig config)
   {
     MutexLock lock(mutex_);
     stats_.segments = static_cast<std::int64_t>(lanes_.size());
-    export_gauges_locked();
   }
   if (config.gc_interval > 0) gc_task_.start();
 }
@@ -153,7 +152,6 @@ void TxnLog::appender_loop(Lane& lane) {
       }
       ++stats_.batches;
       if (waited) ++stats_.group_waits;
-      export_gauges_locked();
     }
     done_cv_.notify_all();
   }
@@ -217,7 +215,6 @@ void TxnLog::gc_now() {
 }
 
 void TxnLog::gc_locked() {
-  static Counter& reclaimed = global_counter("log.gc_bytes_reclaimed");
   for (const auto& lane : lanes_) {
     // Seal an oversized active segment even if appends paused, so an idle
     // lane's tail still becomes GC-eligible.
@@ -240,20 +237,11 @@ void TxnLog::gc_locked() {
       stats_.retained_bytes -= static_cast<std::int64_t>(dead.bytes);
       ++stats_.gc_segments;
       stats_.gc_bytes_reclaimed += static_cast<std::int64_t>(dead.bytes);
-      reclaimed.add(static_cast<std::int64_t>(dead.bytes));
       --stats_.segments;
       gc_watermark_ = std::max(gc_watermark_, dead.max_ts);
       lane->segments.pop_front();
     }
   }
-  export_gauges_locked();
-}
-
-void TxnLog::export_gauges_locked() {
-  static Gauge& segments_gauge = global_gauge("log.segments");
-  static Gauge& retained_gauge = global_gauge("log.retained_txns");
-  segments_gauge.set(stats_.segments);
-  retained_gauge.set(stats_.retained_records);
 }
 
 Timestamp TxnLog::gc_watermark() const {

@@ -180,7 +180,6 @@ class TxnLog {
   void appender_loop(Lane& lane);
   void insert_locked(Lane& lane, WriteSet ws) TFR_REQUIRES(mutex_);
   void gc_locked() TFR_REQUIRES(mutex_);
-  void export_gauges_locked() TFR_REQUIRES(mutex_);
 
   TxnLogConfig config_;
 

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "src/common/metrics.h"
 
 namespace tfr {
 namespace {
@@ -137,15 +136,6 @@ TEST(FaultInjectorTest, ClearRulesDisablesAndKeepsStats) {
   EXPECT_EQ(f.stats().injected_errors, 0);
 }
 
-TEST(FaultInjectorTest, GlobalCountersMirrorInjections) {
-  const std::int64_t before = global_counter("fault.injected_errors").get();
-  FaultInjector f;
-  f.reseed(1);
-  f.add_rule(apply_error_rule(1.0));
-  for (int i = 0; i < 5; ++i) (void)f.inject(FaultOp::kRpcApply, "rs1");
-  EXPECT_EQ(global_counter("fault.injected_errors").get(), before + 5);
-}
-
 TEST(FaultInjectorTest, CheckMapsActionsToUnavailable) {
   FaultInjector f;
   f.reseed(1);
@@ -178,31 +168,34 @@ TEST(FaultInjectorTest, AsymmetricPartitionBlocksOnlyOneDirection) {
 }
 
 TEST(FaultInjectorTest, PartitionsActiveGaugeTracksInstallAndHeal) {
-  Counter& gauge = global_counter("fault.partitions_active");
-  const std::int64_t before = gauge.get();
   FaultInjector f;
+  EXPECT_EQ(f.partitions_active(), 0u);
   const int a = f.add_partition(PartitionRule{"rs1", "coord"});
   const int b = f.add_partition(PartitionRule{"rs2", "coord"});
-  EXPECT_EQ(gauge.get(), before + 2);
+  EXPECT_EQ(f.partitions_active(), 2u);
   f.heal_partition(a);
-  EXPECT_EQ(gauge.get(), before + 1);
+  EXPECT_EQ(f.partitions_active(), 1u);
   f.heal_partition(a);  // idempotent: healing twice does not double-decrement
-  EXPECT_EQ(gauge.get(), before + 1);
+  EXPECT_EQ(f.partitions_active(), 1u);
   f.heal_partition(b);
-  EXPECT_EQ(gauge.get(), before);
-  // clear_partitions on an already-empty set leaves the gauge untouched.
+  EXPECT_EQ(f.partitions_active(), 0u);
+  // clear_partitions on an already-empty set leaves the count untouched.
   f.clear_partitions();
-  EXPECT_EQ(gauge.get(), before);
+  EXPECT_EQ(f.partitions_active(), 0u);
+  // ... and on a non-empty one heals them all.
+  f.add_partition(PartitionRule{"rs1", "coord"});
+  f.add_partition(PartitionRule{"rs3", "coord"});
+  EXPECT_EQ(f.partitions_active(), 2u);
+  f.clear_partitions();
+  EXPECT_EQ(f.partitions_active(), 0u);
 }
 
 TEST(FaultInjectorTest, PartitionDropsAreCounted) {
-  const std::int64_t global_before = global_counter("fault.partition_drops").get();
   FaultInjector f;
   f.add_partition(PartitionRule{"rs1", "coord"});
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(f.partitioned("rs1", "coord"));
   EXPECT_FALSE(f.partitioned("rs2", "coord"));  // a miss is not a drop
   EXPECT_EQ(f.stats().partition_drops, 3);
-  EXPECT_EQ(global_counter("fault.partition_drops").get(), global_before + 3);
   const Status s = f.check_partition(FaultOp::kCoordHeartbeat, "rs1", "coord");
   EXPECT_EQ(s.code(), Code::kUnavailable);
   EXPECT_EQ(f.stats().partition_drops, 4);

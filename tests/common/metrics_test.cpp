@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -114,6 +116,67 @@ TEST(CounterTest, AddAndReset) {
   EXPECT_EQ(c.get(), 6);
   c.reset();
   EXPECT_EQ(c.get(), 0);
+}
+
+TEST(CounterTest, SetHoldsALevelThatMovesBothWays) {
+  Counter c;
+  c.set(10);
+  EXPECT_EQ(c.get(), 10);
+  c.add(-3);
+  EXPECT_EQ(c.get(), 7);
+  c.set(2);
+  EXPECT_EQ(c.get(), 2);
+  c.add();
+  EXPECT_EQ(c.get(), 3);
+  c.reset();
+  EXPECT_EQ(c.get(), 0);
+}
+
+TEST(MetricRegistryTest, CounterAndGaugeOfOneNameAreDistinct) {
+  const std::string name = "metrics_test.shared_name";
+  Counter& counter = global_counter(name);
+  Counter& gauge = global_gauge(name);
+  EXPECT_NE(&counter, &gauge);
+  EXPECT_EQ(&global_counter(name), &counter) << "addresses are stable";
+  EXPECT_EQ(&global_gauge(name), &gauge) << "addresses are stable";
+  counter.set(0);
+  gauge.set(0);
+  counter.add(4);
+  gauge.set(9);
+  EXPECT_EQ(counter.get(), 4);
+  EXPECT_EQ(gauge.get(), 9);
+  auto value_in = [&name](const std::vector<std::pair<std::string, std::int64_t>>& snap) {
+    for (const auto& [n, v] : snap) {
+      if (n == name) return v;
+    }
+    return std::int64_t{-1};
+  };
+  EXPECT_EQ(value_in(global_counter_snapshot()), 4);
+  EXPECT_EQ(value_in(global_gauge_snapshot()), 9);
+  reset_global_gauges();
+  EXPECT_EQ(gauge.get(), 0);
+  EXPECT_EQ(counter.get(), 4) << "resetting the gauges leaves the counters alone";
+}
+
+TEST(MetricRegistryTest, SnapshotsAreSortedByName) {
+  for (const char* name : {"metrics_test.zeta", "metrics_test.alpha", "metrics_test.mu"}) {
+    global_counter(name).add();
+    global_gauge(name).set(1);
+    global_histogram(name).record(1);
+  }
+  auto names_sorted = [](const auto& snap) {
+    std::vector<std::string> names;
+    for (const auto& entry : snap) names.push_back(entry.first);
+    return names.size() >= 3 && std::is_sorted(names.begin(), names.end());
+  };
+  EXPECT_TRUE(names_sorted(global_counter_snapshot()));
+  EXPECT_TRUE(names_sorted(global_gauge_snapshot()));
+  EXPECT_TRUE(names_sorted(global_histogram_snapshot()));
+  for (const auto& [name, hist] : global_histogram_snapshot()) {
+    if (name == "metrics_test.mu") {
+      EXPECT_EQ(hist, &global_histogram(name));
+    }
+  }
 }
 
 }  // namespace

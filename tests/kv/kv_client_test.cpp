@@ -64,13 +64,15 @@ TEST(KvClientTest, CancelFlagAbortsBlockedFlush) {
   cluster.crash_server(0);  // flushes now retry forever
 
   KvClient client(cluster.master(), millis(1));
+  Counter& retries = global_counter("kv.flush_retries");
+  const std::int64_t retries_before = retries.get();
   std::atomic<bool> cancel{false};
   Status result = Status::ok();
   std::thread flusher([&] {
     result = client.flush_writesets({ws_of(1, {"row"})}, &cancel);
   });
   sleep_millis(30);
-  EXPECT_GT(client.stats().flush_retries, 0);
+  EXPECT_GT(retries.get(), retries_before);
   cancel = true;
   flusher.join();
   EXPECT_EQ(result.code(), Code::kClosed);
@@ -82,10 +84,12 @@ TEST(KvClientTest, FlushWithBoundedRetriesGivesUp) {
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   cluster.crash_server(0);  // the only server: its region is never re-homed
   KvClient client(cluster.master(), millis(1));
+  Counter& retries = global_counter("kv.flush_retries");
+  const std::int64_t retries_before = retries.get();
   Status result = client.flush_writesets({ws_of(1, {"row"})}, nullptr, std::nullopt,
                                          /*recovery_replay=*/false, /*max_retries=*/3);
   EXPECT_TRUE(result.is_unavailable()) << result;
-  EXPECT_EQ(client.stats().flush_retries, 3);
+  EXPECT_EQ(retries.get() - retries_before, 3);
   EXPECT_EQ(client.stats().flush_rpcs, 4) << "the first round plus three retries";
 }
 
@@ -95,9 +99,11 @@ TEST(KvClientTest, GetWithBoundedRetriesGivesUp) {
   ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
   cluster.crash_server(0);
   KvClient client(cluster.master(), millis(1));
+  Counter& retries = global_counter("kv.read_retries");
+  const std::int64_t retries_before = retries.get();
   auto result = client.get("t", "row", "c", 10, /*max_retries=*/3);
   EXPECT_TRUE(result.status().is_unavailable());
-  EXPECT_GE(client.stats().read_retries, 3);
+  EXPECT_EQ(retries.get() - retries_before, 3);
 }
 
 TEST(KvClientTest, FlushSpansMultipleServers) {
@@ -107,6 +113,23 @@ TEST(KvClientTest, FlushSpansMultipleServers) {
   KvClient client(cluster.master(), millis(1));
   ASSERT_TRUE(client.flush_writesets({ws_of(5, {"apple", "zebra"})}).is_ok());
   EXPECT_EQ(client.stats().flush_rpcs, 2) << "one apply frame per participant server";
+}
+
+TEST(KvClientTest, ScanLocatesEachRegionOnce) {
+  Cluster cluster(tiny_cluster(2));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {"m"}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  ASSERT_TRUE(client.flush_writesets({ws_of(5, {"apple", "zebra"})}).is_ok());
+  Counter& hits = global_counter("kv.route_hits");
+  Counter& misses = global_counter("kv.route_misses");
+  const std::int64_t hits_before = hits.get();
+  const std::int64_t misses_before = misses.get();
+  auto cells = client.scan("t", "", "", 10, 0);
+  ASSERT_TRUE(cells.is_ok()) << cells.status();
+  EXPECT_EQ(cells.value().size(), 2u);
+  EXPECT_EQ(hits.get() - hits_before, 2) << "one cached lookup per region walked";
+  EXPECT_EQ(misses.get() - misses_before, 0);
 }
 
 TEST(KvClientTest, FlushRecoversWhenRegionComesBack) {

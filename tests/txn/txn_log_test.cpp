@@ -339,10 +339,6 @@ TEST(TxnLogTest, SegmentGcReclaimsWholeSegmentsAndExportsMetrics) {
   EXPECT_EQ(stats.retained_records, 25);
   EXPECT_GT(stats.gc_bytes_reclaimed, 0);
   EXPECT_EQ(log.gc_watermark(), 20);
-  for (const auto& [name, value] : global_gauge_snapshot()) {
-    if (name == "log.segments") EXPECT_EQ(value, stats.segments);
-    if (name == "log.retained_txns") EXPECT_EQ(value, stats.retained_records);
-  }
 }
 
 TEST(TxnLogTest, RetainedRecordsPlateauUnderSustainedCommits) {
