@@ -1,9 +1,14 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the system:
 // recovery-log group commit, memstore MVCC operations, the Algorithm 1/3
-// tracking structures, WAL appends, and store-file reads through the block
-// cache. These back the "light-weight tracking" claim of §4.3 with numbers.
+// tracking structures, WAL appends, store-file reads through the block
+// cache, and the per-byte redo costs of server recovery (CRC-32C, encoding
+// a split-edit batch into the WAL, decoding a WAL back). These back the
+// "light-weight tracking" claim of §4.3 with numbers.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/kv/memstore.h"
 #include "src/kv/store_file.h"
@@ -104,6 +109,76 @@ void BM_WalAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalAppend);
+
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(3);
+  std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+  for (char& c : data) c = static_cast<char>(rng.next_below(256));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32c(data));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10);
+
+// The shape of one recovered region's split edits: 850 records of three
+// ~140-byte cells each, about 400 KB of frames.
+std::vector<WalRecord> split_edit_batch(std::size_t records, std::uint64_t first_txn) {
+  std::vector<WalRecord> batch;
+  for (std::size_t i = 0; i < records; ++i) {
+    WalRecord r;
+    r.region = "usertable,user0000004000";
+    r.txn_id = first_txn + i;
+    r.client_id = "client-2";
+    r.commit_ts = static_cast<Timestamp>(first_txn + i);
+    r.epoch = 3;
+    for (int c = 0; c < 3; ++c) {
+      r.cells.push_back(Cell{"user" + std::to_string(4000 + (i * 7 + c) % 4000),
+                             "field" + std::to_string(c), std::string(100, 'v'), r.commit_ts,
+                             false});
+    }
+    batch.push_back(std::move(r));
+  }
+  return batch;
+}
+
+void BM_WalAppendBatch(benchmark::State& state) {
+  const auto batch = split_edit_batch(850, 1);
+  std::unique_ptr<Dfs> dfs;
+  std::unique_ptr<Wal> wal;
+  std::int64_t appended = 0;
+  for (auto _ : state) {
+    if (appended % 64 == 0) {
+      // A fresh zero-latency DFS every 64 batches keeps the file in memory small.
+      state.PauseTiming();
+      wal.reset();
+      dfs = std::make_unique<Dfs>(DfsConfig{});
+      wal = Wal::create(*dfs, "/wal/bench.log").value();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(wal->append(batch));
+    ++appended;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_WalAppendBatch)->Unit(benchmark::kMicrosecond);
+
+void BM_WalReadRecords(benchmark::State& state) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/bench.log").value();
+  std::int64_t records = 0;
+  // Three split-edit batches: ~1.3 MB, 20 blocks of 64 KB.
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    const auto batch = split_edit_batch(850, 1 + b * 850);
+    if (!wal->append(batch).is_ok()) state.SkipWithError("append failed");
+    records += static_cast<std::int64_t>(batch.size());
+  }
+  if (!wal->sync().is_ok()) state.SkipWithError("sync failed");
+  for (auto _ : state) benchmark::DoNotOptimize(Wal::read_records(dfs, "/wal/bench.log"));
+  state.SetItemsProcessed(state.iterations() * records);
+  state.counters["blocks"] = static_cast<double>(
+      (dfs.durable_size("/wal/bench.log.00000001").value() + dfs.config().block_size - 1) /
+      dfs.config().block_size);
+}
+BENCHMARK(BM_WalReadRecords)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_StoreFileGetCached(benchmark::State& state) {
   Dfs dfs{DfsConfig{}};

@@ -372,7 +372,7 @@ Status RegionServer::write_region(Region& region, std::vector<WalRecord> records
   // If the region went offline since the caller's admission check (a
   // split/merge/move fenced it, or this server crashed), nothing is logged
   // or applied and the caller surfaces Unavailable.
-  Status applied = region.apply(cells, [&] { return wal_->append(std::move(records)); });
+  Status applied = region.apply(cells, [&] { return wal_->append(records); });
   if (applied.is_wrong_epoch()) {
     // Our ownership epoch is stale: the master has fenced this region
     // (we are a zombie). Stop serving it; the client relocates.

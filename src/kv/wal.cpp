@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "src/common/backoff.h"
@@ -12,29 +13,65 @@
 
 namespace tfr {
 
-std::string WalRecord::encode() const {
-  std::string payload;
-  Encoder enc(&payload);
-  enc.put_string(region);
-  enc.put_u64(seq);
-  enc.put_u64(txn_id);
-  enc.put_string(client_id);
-  enc.put_i64(commit_ts);
-  enc.put_u64(epoch);
-  enc.put_u32(static_cast<std::uint32_t>(cells.size()));
-  for (const auto& c : cells) encode_cell(enc, c);
-  std::string framed;
-  Encoder fenc(&framed);
-  fenc.put_string(payload);       // length-prefixed frame...
-  fenc.put_u32(crc32c(payload));  // ...with an integrity checksum
-  return framed;
+namespace {
+
+// A frame is [u32 payload length][payload][u32 checksum]; the payload
+// starts with the u64 seq.
+constexpr std::size_t kLengthBytes = 4;
+constexpr std::size_t kChecksumBytes = 4;
+
+/// The encoded payload size, to size the batch's buffer once.
+std::size_t payload_size(const WalRecord& r) {
+  std::size_t size = 8 + 4 + r.region.size() + 8 + 4 + r.client_id.size() + 8 + 8 + 4;
+  for (const Cell& c : r.cells) {
+    size += 4 + c.row.size() + 4 + c.column.size() + 4 + c.value.size() + 8 + 1;
+  }
+  return size;
 }
 
-Result<WalRecord> WalRecord::decode(std::string_view data) {
-  Decoder dec(data);
+}  // namespace
+
+WalFrames::WalFrames(const std::vector<WalRecord>& records) {
+  std::size_t total = 0;
+  for (const WalRecord& r : records) total += kLengthBytes + payload_size(r) + kChecksumBytes;
+  bytes_.reserve(total);
+  Encoder enc(&bytes_);
+  for (const WalRecord& r : records) {
+    const std::size_t start = bytes_.size();
+    enc.put_u32(0);  // payload length, patched below
+    enc.put_u64(0);  // seq, stamped by seal()
+    enc.put_string(r.region);
+    enc.put_u64(r.txn_id);
+    enc.put_string(r.client_id);
+    enc.put_i64(r.commit_ts);
+    enc.put_u64(r.epoch);
+    enc.put_u32(static_cast<std::uint32_t>(r.cells.size()));
+    for (const Cell& c : r.cells) encode_cell(enc, c);
+    const auto len = static_cast<std::uint32_t>(bytes_.size() - start - kLengthBytes);
+    std::memcpy(bytes_.data() + start, &len, kLengthBytes);
+    enc.put_u32(0);  // checksum, stamped by seal()
+  }
+}
+
+void WalFrames::seal(std::uint64_t first_seq) {
+  char* frame = bytes_.data();
+  char* const end = frame + bytes_.size();
+  for (std::uint64_t seq = first_seq; frame < end; ++seq) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, frame, kLengthBytes);
+    char* payload = frame + kLengthBytes;
+    std::memcpy(payload, &seq, sizeof(seq));
+    const std::uint32_t crc = crc32c(std::string_view(payload, len));
+    std::memcpy(payload + len, &crc, kChecksumBytes);
+    frame = payload + len + kChecksumBytes;
+  }
+}
+
+Result<WalRecord> WalRecord::decode(std::string_view payload) {
+  Decoder dec(payload);
   WalRecord r;
-  TFR_RETURN_IF_ERROR(dec.get_string(&r.region));
   TFR_RETURN_IF_ERROR(dec.get_u64(&r.seq));
+  TFR_RETURN_IF_ERROR(dec.get_string(&r.region));
   TFR_RETURN_IF_ERROR(dec.get_u64(&r.txn_id));
   TFR_RETURN_IF_ERROR(dec.get_string(&r.client_id));
   TFR_RETURN_IF_ERROR(dec.get_i64(&r.commit_ts));
@@ -67,29 +104,36 @@ Status Wal::open_segment_locked() {
   return Status::ok();
 }
 
-Result<std::uint64_t> Wal::append(std::vector<WalRecord> records) {
+Result<std::uint64_t> Wal::append(const std::vector<WalRecord>& records) {
   if (records.empty()) return Status::invalid_argument("empty WAL batch");
   static Counter& rejects = global_counter("kv.epoch_rejects");
-  MutexLock lock(mutex_);
+  // Everything that needs no seq happens before the lock: the encoding, and
+  // collecting the batch's distinct fencing tokens (a write step stamps one
+  // region's epoch on all of its records).
+  WalFrames frames(records);
+  std::vector<const WalRecord*> tokens;
   if (epochs_ != nullptr) {
-    for (const WalRecord& record : records) {
-      Status fence = epochs_->validate(record.region, record.epoch);
-      if (!fence.is_ok()) {
-        rejects.add();
-        TFR_LOG(WARN, "wal") << base_path_ << " rejected stale-epoch append: " << fence;
-        return fence;
-      }
+    for (const WalRecord& r : records) {
+      const bool seen = std::any_of(tokens.begin(), tokens.end(), [&](const WalRecord* t) {
+        return t->region == r.region && t->epoch == r.epoch;
+      });
+      if (!seen) tokens.push_back(&r);
+    }
+  }
+  MutexLock lock(mutex_);
+  for (const WalRecord* token : tokens) {
+    Status fence = epochs_->validate(token->region, token->epoch);
+    if (!fence.is_ok()) {
+      rejects.add();
+      TFR_LOG(WARN, "wal") << base_path_ << " rejected stale-epoch append: " << fence;
+      return fence;
     }
   }
   const std::uint64_t first = next_seq_.fetch_add(records.size(), std::memory_order_acq_rel);
   const std::uint64_t last = first + records.size() - 1;
-  std::string framed;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    records[i].seq = first + i;
-    framed += records[i].encode();
-  }
+  frames.seal(first);
   Segment& seg = segments_.back();
-  Status appended = dfs_->append(seg.path, framed);
+  Status appended = dfs_->append(seg.path, frames.bytes());
   if (appended.is_wrong_epoch()) {
     // The DFS-level writer fence (master fenced our directory before the
     // split) caught what the registry check raced past.
@@ -98,7 +142,7 @@ Result<std::uint64_t> Wal::append(std::vector<WalRecord> records) {
   TFR_RETURN_IF_ERROR(appended);
   if (seg.first_seq == 0) seg.first_seq = first;
   seg.last_seq = std::max(seg.last_seq, last);
-  seg.bytes += framed.size();
+  seg.bytes += frames.bytes().size();
   return first;
 }
 
@@ -236,46 +280,67 @@ WalStats Wal::stats() const {
 
 namespace {
 
-// The split's block reader: workers claim block reads off a shared cursor
-// (capped by the block count), and each read retries Unavailable a bounded
-// number of times with a jittered backoff.
+// The split's worker pool: block reads, then frame decodes, each claimed off
+// a shared cursor (workers capped by the number of units). Each block read
+// retries Unavailable a bounded number of times with a jittered backoff.
 constexpr int kSplitWorkers = 4;
 constexpr int kReadAttempts = 8;
 constexpr Micros kReadBackoffBase = millis(1);
 constexpr Micros kReadBackoffCap = millis(8);
 
-/// Decode every whole frame of one durable segment. A torn final frame
-/// (sync raced a crash) truncates; a checksum mismatch is corruption.
-Status decode_segment(const std::string& path, std::string_view data,
-                      std::vector<WalRecord>* out) {
-  Decoder dec(data);
-  while (!dec.done()) {
-    std::string payload;
-    const auto before = dec.position();
-    std::uint32_t stored_crc = 0;
-    Status s = dec.get_string(&payload);
-    if (s.is_ok()) s = dec.get_u32(&stored_crc);
-    if (!s.is_ok()) {
-      // A torn final frame can only occur if a sync raced a crash; the
-      // durable prefix up to the last whole record is still valid.
-      TFR_LOG(WARN, "wal") << "torn WAL tail in " << path << " at offset " << before;
-      break;
+/// Run `claim_one` on up to kSplitWorkers threads (one per unit at most)
+/// until it returns false; a single unit runs on the calling thread.
+template <typename Claim>
+void run_split_workers(std::size_t units, Claim claim_one) {
+  auto worker = [&] {
+    while (claim_one()) {
     }
-    if (crc32c(payload) != stored_crc) {
-      return Status::corruption("WAL record checksum mismatch in " + path);
-    }
-    auto rec = WalRecord::decode(payload);
-    if (!rec.is_ok()) return rec.status();
-    out->push_back(std::move(rec).value());
+  };
+  const std::size_t workers = std::min<std::size_t>(kSplitWorkers, units);
+  if (workers <= 1) {
+    worker();
+    return;
   }
-  return Status::ok();
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
+}
+
+/// One whole frame of a reassembled segment.
+struct Frame {
+  std::size_t segment;
+  std::string_view payload;
+  std::uint32_t checksum;
+};
+
+/// Find the whole frames of one durable segment from its length prefixes
+/// alone. A torn final frame (a sync raced a crash) truncates: the durable
+/// prefix up to the last whole frame is still valid.
+void find_frames(std::size_t segment, const std::string& path, std::string_view data,
+                 std::vector<Frame>* out) {
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    std::uint32_t len = 0;
+    const std::size_t remaining = data.size() - pos;
+    if (remaining >= kLengthBytes) std::memcpy(&len, data.data() + pos, kLengthBytes);
+    if (remaining < kLengthBytes || remaining - kLengthBytes < std::size_t{len} + kChecksumBytes) {
+      TFR_LOG(WARN, "wal") << "torn WAL tail in " << path << " at offset " << pos;
+      return;
+    }
+    Frame frame{segment, data.substr(pos + kLengthBytes, len), 0};
+    std::memcpy(&frame.checksum, data.data() + pos + kLengthBytes + len, kChecksumBytes);
+    out->push_back(frame);
+    pos += kLengthBytes + len + kChecksumBytes;
+  }
 }
 
 }  // namespace
 
 // Workers claim one block-aligned read at a time off a shared cursor,
-// across all segments. Each block lands in its own slot, written by exactly
-// one worker and read only after the join.
+// across all segments, then one chunk of frames at a time. Each block,
+// record and chunk status lands in its own slot, written by exactly one
+// worker and read only after the join.
 Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& base_path) {
   // Live segments are whatever still exists under the base path, in index
   // (and therefore sequence) order.
@@ -289,9 +354,11 @@ Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& ba
   };
   const std::uint64_t block = dfs.config().block_size;
   std::vector<BlockRead> reads;
+  std::vector<std::string> segments(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     auto size = dfs.durable_size(paths[i]);
     if (!size.is_ok()) return size.status();
+    segments[i].reserve(size.value());
     for (std::uint64_t offset = 0; offset < size.value(); offset += block) {
       reads.push_back(BlockRead{i, offset});
     }
@@ -299,31 +366,24 @@ Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& ba
 
   std::vector<Result<std::string>> blocks(reads.size(),
                                           Result<std::string>(Status::internal("block not read")));
-  std::atomic<std::size_t> cursor{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (k >= reads.size()) return;
-      const BlockRead& r = reads[k];
-      Backoff backoff(kReadBackoffBase, kReadBackoffCap);
-      auto data = dfs.read(paths[r.segment], r.offset, block);
-      while (!data.is_ok() && data.status().is_unavailable() &&
-             backoff.attempts() + 1 < kReadAttempts) {
-        backoff.sleep();
-        data = dfs.read(paths[r.segment], r.offset, block);
-      }
-      blocks[k] = std::move(data);
+  std::atomic<std::size_t> next_read{0};
+  run_split_workers(reads.size(), [&] {
+    const std::size_t k = next_read.fetch_add(1, std::memory_order_relaxed);
+    if (k >= reads.size()) return false;
+    const BlockRead& r = reads[k];
+    Backoff backoff(kReadBackoffBase, kReadBackoffCap);
+    auto data = dfs.read(paths[r.segment], r.offset, block);
+    while (!data.is_ok() && data.status().is_unavailable() &&
+           backoff.attempts() + 1 < kReadAttempts) {
+      backoff.sleep();
+      data = dfs.read(paths[r.segment], r.offset, block);
     }
-  };
-  const int workers = std::min<int>(kSplitWorkers, static_cast<int>(reads.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+    blocks[k] = std::move(data);
+    return true;
+  });
 
   // All-or-nothing: a split that dropped one block would assign regions
   // from an edit map that silently lost durable edits.
-  std::vector<std::string> segments(paths.size());
   for (std::size_t k = 0; k < reads.size(); ++k) {
     if (!blocks[k].is_ok()) {
       TFR_LOG(WARN, "wal") << "read of " << paths[reads[k].segment] << " failed at offset "
@@ -332,12 +392,42 @@ Result<std::vector<WalRecord>> Wal::read_records(Dfs& dfs, const std::string& ba
     }
     segments[reads[k].segment] += blocks[k].value();
   }
-  std::vector<WalRecord> out;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    TFR_RETURN_IF_ERROR(decode_segment(paths[i], segments[i], &out));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; });
+  blocks.clear();
+
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < paths.size(); ++i) find_frames(i, paths[i], segments[i], &frames);
+
+  // Checksum and decode in parallel; any bad frame fails the whole read.
+  const std::size_t chunks = (frames.size() + kDecodeChunkFrames - 1) / kDecodeChunkFrames;
+  std::vector<WalRecord> out(frames.size());
+  std::vector<Status> chunk_status(chunks, Status::ok());
+  std::atomic<std::size_t> next_chunk{0};
+  std::atomic<bool> failed{false};
+  run_split_workers(chunks, [&] {
+    const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks || failed.load(std::memory_order_relaxed)) return false;
+    const std::size_t end = std::min(frames.size(), (c + 1) * kDecodeChunkFrames);
+    for (std::size_t i = c * kDecodeChunkFrames; i < end; ++i) {
+      const Frame& frame = frames[i];
+      if (crc32c(frame.payload) != frame.checksum) {
+        chunk_status[c] = Status::corruption("WAL record checksum mismatch in " +
+                                             paths[frame.segment]);
+      } else if (auto rec = WalRecord::decode(frame.payload); rec.is_ok()) {
+        out[i] = std::move(rec).value();
+        continue;
+      } else {
+        chunk_status[c] = rec.status();
+      }
+      failed.store(true, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  });
+  for (const Status& st : chunk_status) TFR_RETURN_IF_ERROR(st);
+
+  // Appends assign seqs in file order, so this is normally already sorted.
+  const auto by_seq = [](const WalRecord& a, const WalRecord& b) { return a.seq < b.seq; };
+  if (!std::is_sorted(out.begin(), out.end(), by_seq)) std::sort(out.begin(), out.end(), by_seq);
   return out;
 }
 

@@ -41,8 +41,29 @@ struct WalRecord {
   std::uint64_t epoch = 0;
   std::vector<Cell> cells;
 
-  std::string encode() const;
-  static Result<WalRecord> decode(std::string_view data);
+  /// Decode one frame's payload (the bytes between its length prefix and
+  /// its checksum).
+  static Result<WalRecord> decode(std::string_view payload);
+};
+
+/// The WAL's one frame encoder. A batch of records is encoded back to back
+/// into one buffer, each as a frame [u32 payload length][payload][u32
+/// CRC-32C of the payload] whose payload starts with the u64 seq, so the seq
+/// sits at a fixed offset. Encoding leaves every seq and checksum zero;
+/// seal() stamps them once the seqs are known, which lets Wal::append encode
+/// before it takes its lock.
+class WalFrames {
+ public:
+  explicit WalFrames(const std::vector<WalRecord>& records);
+
+  /// Stamp the frames with the seqs first_seq, first_seq + 1, ... in batch
+  /// order, then checksum each.
+  void seal(std::uint64_t first_seq);
+
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
 };
 
 struct WalStats {
@@ -60,14 +81,16 @@ class Wal {
   static Result<std::unique_ptr<Wal>> create(Dfs& dfs, std::string base_path);
 
   /// Append a batch of records to the DFS write pipeline (NOT yet durable)
-  /// under one lock hold and as one DFS append: the records get consecutive
-  /// sequence numbers, and the first is returned. A single record is a
-  /// batch of one; an empty batch is InvalidArgument. With an epoch
-  /// registry attached, every record is checked, and one bearing a stale
-  /// epoch for its region rejects the whole batch with WrongEpoch before
-  /// anything reaches the DFS (the fencing-token check; counted in
-  /// kv.epoch_rejects).
-  Result<std::uint64_t> append(std::vector<WalRecord> records);
+  /// as one DFS append: the records get consecutive sequence numbers, and
+  /// the first is returned. A single record is a batch of one; an empty
+  /// batch is InvalidArgument. The batch is encoded before the lock is
+  /// taken; under it, the seqs are assigned and stamped, the frames
+  /// checksummed and appended. The records' own `seq` fields are ignored.
+  /// With an epoch registry attached, each distinct (region, epoch) of the
+  /// batch is checked, and a stale one rejects the whole batch with
+  /// WrongEpoch before anything reaches the DFS (the fencing-token check;
+  /// counted in kv.epoch_rejects).
+  Result<std::uint64_t> append(const std::vector<WalRecord>& records);
 
   /// Attach the cluster's epoch registry (nullptr to detach). Not
   /// synchronized with in-flight appends: install before traffic starts.
@@ -120,15 +143,20 @@ class Wal {
   /// (one block each, across every live segment) off a shared cursor, so the
   /// split costs about blocks / workers block reads however the records are
   /// spread over segments; each read retries transient (Unavailable) errors
-  /// a bounded number of times. The blocks are then reassembled per segment
-  /// and decoded in order: a torn final frame truncates, a checksum mismatch
-  /// is corruption. All-or-nothing: if any block cannot be read or any
-  /// segment decoded, the whole split fails — a partial edit map silently
-  /// loses durable edits for the regions whose records were dropped. The
-  /// master fences the WAL before splitting it, so durable sizes cannot move
-  /// under the reads.
+  /// a bounded number of times. The blocks are then reassembled per segment,
+  /// and one pass over the length prefixes finds the frame boundaries: a
+  /// torn final frame truncates its segment. The same workers then claim
+  /// chunks of kDecodeChunkFrames frames, checksum and decode them; a
+  /// checksum mismatch is corruption. All-or-nothing: if any block cannot be
+  /// read or any frame decoded, the whole split fails — a partial edit map
+  /// silently loses durable edits for the regions whose records were
+  /// dropped. The master fences the WAL before splitting it, so durable
+  /// sizes cannot move under the reads.
   static Result<std::map<std::string, std::vector<WalRecord>>> split(Dfs& dfs,
                                                                      const std::string& base_path);
+
+  /// Frames per decode chunk of the split (the unit a worker claims).
+  static constexpr std::size_t kDecodeChunkFrames = 64;
 
  private:
   Wal(Dfs& dfs, std::string base_path) : dfs_(&dfs), base_path_(std::move(base_path)) {}
@@ -156,7 +184,7 @@ class Wal {
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> synced_seq_{0};
 
-  // Guards segments_ and appends (record framing).
+  // Guards segments_ and appends (seq assignment, checksums, the DFS append).
   mutable RankedMutex<LockRank::kWal> mutex_{"wal"};
   std::vector<Segment> segments_ TFR_GUARDED_BY(mutex_);  // back() is the open segment
   std::uint64_t next_segment_index_ TFR_GUARDED_BY(mutex_) = 1;

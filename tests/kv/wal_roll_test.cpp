@@ -477,7 +477,7 @@ TEST(WalBlockSplitTest, TornFrameInTheLastBlockTruncates) {
   write_three_segments(dfs);
   // A sync that raced the writer's crash left half a frame at the end.
   const std::string last = segments(dfs).back();
-  ASSERT_TRUE(dfs.append(last, rec("b", 19).encode().substr(0, 40)).is_ok());
+  ASSERT_TRUE(dfs.append(last, WalFrames({rec("b", 19)}).bytes().substr(0, 40)).is_ok());
   ASSERT_TRUE(dfs.sync(last).is_ok());
   auto grouped = Wal::split(dfs, kBase);
   ASSERT_TRUE(grouped.is_ok()) << grouped.status();
@@ -509,6 +509,70 @@ TEST(WalBlockSplitTest, BadChecksumInAMiddleBlockFailsTheWholeSplit) {
   ASSERT_FALSE(split.is_ok());
   EXPECT_EQ(split.status().code(), Code::kCorruption) << split.status();
 }
+
+// Where the bad checksum sits: the first frame, the first frame of the
+// split's second decode chunk, and the last whole frame before a torn tail.
+enum class BadFrame { kFirst, kChunkBoundary, kLastBeforeTornTail };
+
+class WalBlockSplitTest : public ::testing::TestWithParam<BadFrame> {};
+
+TEST_P(WalBlockSplitTest, BadChecksumInAnyFrameFailsTheSplit) {
+  // One segment of many 256-byte blocks holding more than two decode chunks
+  // of frames, ending in half a frame.
+  Dfs dfs{DfsConfig{.block_size = 256}};
+  auto wal = Wal::create(dfs, kBase).value();
+  const std::size_t count = 2 * Wal::kDecodeChunkFrames + 3;
+  for (std::size_t i = 1; i <= count; ++i) {
+    ASSERT_TRUE(wal->append({rec(i % 2 == 0 ? "a" : "b", static_cast<Timestamp>(i))}).is_ok());
+  }
+  ASSERT_TRUE(wal->sync().is_ok());
+  ASSERT_EQ(segments(dfs).size(), 1u);
+  const std::string path = segments(dfs).front();
+  ASSERT_TRUE(dfs.append(path, WalFrames({rec("b", 999)}).bytes().substr(0, 40)).is_ok());
+  ASSERT_TRUE(dfs.sync(path).is_ok());
+
+  const std::string data = dfs.read_all(path).value();
+  ASSERT_GE(data.size(), 3 * 256u);
+  std::vector<std::uint64_t> starts;
+  std::vector<std::uint32_t> lengths;
+  for (std::uint64_t offset = 0; offset + 4 <= data.size();) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, data.data() + offset, sizeof(len));
+    if (offset + 4 + len + 4 > data.size()) break;  // the torn tail
+    starts.push_back(offset);
+    lengths.push_back(len);
+    offset += 4 + len + 4;  // length prefix, payload, checksum
+  }
+  ASSERT_EQ(starts.size(), count);
+  auto intact = Wal::split(dfs, kBase);
+  ASSERT_TRUE(intact.is_ok()) << intact.status();
+  std::size_t total = 0;
+  for (const auto& [region, records] : intact.value()) total += records.size();
+  EXPECT_EQ(total, count);
+
+  const std::size_t bad = GetParam() == BadFrame::kFirst           ? 0
+                          : GetParam() == BadFrame::kChunkBoundary ? Wal::kDecodeChunkFrames
+                                                                   : count - 1;
+  ASSERT_TRUE(dfs.corrupt_byte(path, starts[bad] + 4 + lengths[bad] / 2).is_ok());
+  auto split = Wal::split(dfs, kBase);
+  ASSERT_FALSE(split.is_ok());
+  EXPECT_EQ(split.status().code(), Code::kCorruption) << split.status();
+}
+
+INSTANTIATE_TEST_SUITE_P(Frames, WalBlockSplitTest,
+                         ::testing::Values(BadFrame::kFirst, BadFrame::kChunkBoundary,
+                                           BadFrame::kLastBeforeTornTail),
+                         [](const ::testing::TestParamInfo<BadFrame>& frame) {
+                           switch (frame.param) {
+                             case BadFrame::kFirst:
+                               return "First";
+                             case BadFrame::kChunkBoundary:
+                               return "ChunkBoundary";
+                             case BadFrame::kLastBeforeTornTail:
+                               return "LastBeforeTornTail";
+                           }
+                           return "Unknown";
+                         });
 
 TEST(WalBlockSplitTest, OneFailedBlockReadIsRetried) {
   Dfs dfs{DfsConfig{.block_size = 256}};

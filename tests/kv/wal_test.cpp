@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <thread>
+
+#include "src/common/codec.h"
+#include "src/common/crc32.h"
+
 namespace tfr {
 namespace {
 
@@ -16,13 +23,16 @@ WalRecord make_record(const std::string& region, Timestamp ts, const std::string
 }
 
 TEST(WalRecordTest, EncodeDecodeRoundTrip) {
-  WalRecord r = make_record("t,", 42, "rowX");
-  r.seq = 7;
-  // The frame is length-prefixed; decode the payload inside.
-  const std::string framed = r.encode();
-  Decoder dec(framed);
+  // The frame is length-prefixed and checksummed; decode the payload inside.
+  WalFrames frames({make_record("t,", 42, "rowX")});
+  frames.seal(7);
+  Decoder dec(frames.bytes());
   std::string payload;
   ASSERT_TRUE(dec.get_string(&payload).is_ok());
+  std::uint32_t checksum = 0;
+  ASSERT_TRUE(dec.get_u32(&checksum).is_ok());
+  EXPECT_TRUE(dec.done());
+  EXPECT_EQ(checksum, crc32c(payload));
   auto decoded = WalRecord::decode(payload);
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().region, "t,");
@@ -69,7 +79,7 @@ TEST(WalTest, TornTailAfterABatchKeepsTheDurablePrefix) {
                   .is_ok());
   ASSERT_TRUE(wal->sync().is_ok());
   // A sync that raced a crash left half of the next frame durable.
-  const std::string next = make_record("r", 4, "d").encode();
+  const std::string next = WalFrames({make_record("r", 4, "d")}).bytes();
   ASSERT_TRUE(dfs.append("/wal/rs1.log.00000001", next.substr(0, next.size() / 2)).is_ok());
   ASSERT_TRUE(dfs.sync("/wal/rs1.log.00000001").is_ok());
   const auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
@@ -141,6 +151,51 @@ TEST(WalTest, ConcurrentAppendersAllLand) {
   for (const auto& r : records) seqs.insert(r.seq);
   EXPECT_EQ(seqs.size(), 400u);
   EXPECT_EQ(*seqs.rbegin(), 400u);
+}
+
+TEST(WalTest, ConcurrentBatchesDecodeWithTheSeqsAppendReturned) {
+  // Batches are encoded outside the WAL lock and stamped under it: every
+  // record must read back once, bearing the seq its batch was given.
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 200;
+  // txn_id names a record: thread * 1e6 + batch * 100 + index in the batch.
+  std::vector<std::map<std::uint64_t, std::uint64_t>> expected(kThreads);  // txn_id -> seq
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&wal, &expected, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        const int size = (t * 7 + b * 5) % 16 + 1;
+        std::vector<WalRecord> batch;
+        for (int i = 0; i < size; ++i) {
+          WalRecord r = make_record("r" + std::to_string(i % 3), b + 1, "row" + std::to_string(i));
+          r.txn_id = static_cast<std::uint64_t>(t) * 1'000'000 + b * 100 + i;
+          batch.push_back(std::move(r));
+        }
+        auto first = wal->append(batch);
+        ASSERT_TRUE(first.is_ok()) << first.status();
+        for (int i = 0; i < size; ++i) expected[t][batch[i].txn_id] = first.value() + i;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(wal->sync().is_ok());
+  EXPECT_EQ(wal->synced_seq(), wal->appended_seq());
+
+  std::map<std::uint64_t, std::uint64_t> want;
+  for (const auto& per_thread : expected) want.insert(per_thread.begin(), per_thread.end());
+  const auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
+  ASSERT_EQ(records.size(), want.size());
+  EXPECT_EQ(wal->appended_seq(), want.size());
+  std::set<std::uint64_t> seen;
+  for (const auto& r : records) {
+    ASSERT_TRUE(seen.insert(r.txn_id).second) << "txn " << r.txn_id << " read back twice";
+    auto it = want.find(r.txn_id);
+    ASSERT_NE(it, want.end()) << "txn " << r.txn_id;
+    EXPECT_EQ(r.seq, it->second) << "txn " << r.txn_id;
+    EXPECT_EQ(r.commit_ts, static_cast<Timestamp>(r.txn_id % 1'000'000 / 100 + 1));
+  }
 }
 
 TEST(WalTest, GroupCommitSkipsRedundantSyncs) {
